@@ -21,7 +21,6 @@ class StudyConfig:
     kappa: float
     replications: int
     seed: int
-    threads: int
 
 
 def run_study(cfg: StudyConfig) -> list[dict]:
@@ -49,7 +48,7 @@ def run_study(cfg: StudyConfig) -> list[dict]:
                     "seed": cfg.seed,
                 }
             )
-            report = run_experiment(experiment, threads=cfg.threads)
+            report = run_experiment(experiment)
             rows.append(
                 {
                     "L": l_max,
@@ -72,7 +71,6 @@ def main() -> None:
     parser.add_argument("--kappa", type=float, default=1.0)
     parser.add_argument("--replications", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 
@@ -83,7 +81,6 @@ def main() -> None:
         kappa=args.kappa,
         replications=args.replications,
         seed=args.seed,
-        threads=args.threads,
     )
     rows = run_study(cfg)
 

@@ -23,7 +23,6 @@ class NoiseStudyConfig:
     alpha0: float
     replications: int
     seed: int
-    threads: int
 
 
 def run_study(cfg: NoiseStudyConfig) -> list[dict]:
@@ -44,7 +43,7 @@ def run_study(cfg: NoiseStudyConfig) -> list[dict]:
                 "seed": cfg.seed,
             }
         )
-        report = run_experiment(experiment, threads=cfg.threads)
+        report = run_experiment(experiment)
         rows.append(
             {
                 "gamma": gamma,
@@ -70,7 +69,6 @@ def main() -> None:
     parser.add_argument("--alpha0", type=float, default=3.0)
     parser.add_argument("--replications", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 
@@ -82,7 +80,6 @@ def main() -> None:
         alpha0=args.alpha0,
         replications=args.replications,
         seed=args.seed,
-        threads=args.threads,
     )
     rows = run_study(cfg)
 

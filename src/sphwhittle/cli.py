@@ -1,9 +1,9 @@
 """Batch front-end: simulate / estimate / mc / oracle.
 
 Artifacts are deterministic: JSON and CSV floats use shortest round-trip
-decimals, line endings are "\\n", and Monte Carlo outputs are byte-identical
-for any --threads value.  Exit codes: 0 success, 1 config error, 2 numerical
-failure.
+decimals and line endings are "\\n".  --threads is deprecated and ignored:
+Monte Carlo replications run serially.  Exit codes: 0 success, 1 config
+error, 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -68,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for mc (default: available parallelism)",
+            help="deprecated and ignored; mc runs its replications serially",
         )
     return parser
 
@@ -121,7 +120,11 @@ def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
         model = model_from_dict(config["model"])
         noise = noise_from_dict(config["noise"]) if config.get("noise") else None
         l_max = int(config["L"])
+        if l_max < 1:
+            raise ValueError(f"L must be >= 1, got {l_max}")
         exact = bool(config.get("exact", False))
+        if not exact:
+            seed = SeedSpec(_require_seed(config, seed_override), 0)
     except KeyError as exc:
         raise ConfigError(f"simulate config missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -129,7 +132,6 @@ def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
     if exact:
         spectrum = EmpiricalSpectrum(spectrum_values(model, l_max))
     else:
-        seed = SeedSpec(_require_seed(config, seed_override), 0)
         if noise is not None:
             spectrum = sample_observed_debiased(model, noise, l_max, seed)
         else:
@@ -171,14 +173,11 @@ def _cmd_estimate(config: dict, out: Path) -> None:
     )
 
 
-def _cmd_mc(config: dict, out: Path, seed_override: int | None, threads: int | None) -> None:
+def _cmd_mc(config: dict, out: Path, seed_override: int | None) -> None:
     if seed_override is not None:
         config = dict(config, seed=seed_override)
     cfg, resolved = experiment_from_dict(config)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    report = run_experiment(cfg, threads=threads)
-    write_report_files(report, resolved, out)
+    write_report_files(run_experiment(cfg), resolved, out)
 
 
 def _oracle_float_list(config: dict, key: str, default) -> list[float]:
@@ -241,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.subcommand == "estimate":
             _cmd_estimate(config, out)
         elif args.subcommand == "mc":
-            _cmd_mc(config, out, args.seed, args.threads)
+            _cmd_mc(config, out, args.seed)
         else:
             _cmd_oracle(config, out)
     except NumericalError as exc:

@@ -1,22 +1,26 @@
-"""Seeded, parallel replication engine for the estimator's sampling laws.
+"""Seeded replication engine for the estimator's sampling laws.
 
 Each replication i of an experiment draws a spectrum with SeedSpec
 (master_seed, i), estimates the index over the configured band, and
-normalizes the error with the configured scheme.  Replications that error
-with a non-positive amplitude or stop on the search boundary are counted in
-boundary_hits and excluded from moment statistics (a diverging design would
-otherwise destroy every statistic); all replications appear in the
-per-replication table with a status column.
+normalizes the error with the configured scheme.  The model spectrum (and
+noise spectrum) is computed once per run; only the chi-square draw is per
+replication.  Replications that error with a non-positive amplitude or stop
+on the search boundary are counted in boundary_hits and excluded from
+moment statistics (a diverging design would otherwise destroy every
+statistic); all replications appear in the per-replication table with a
+status column.
 
-Reports are pure functions of the config, independent of worker count.
+Replications run serially in one thread: a thread pool made runs slower,
+because the per-replication work holds the interpreter lock for most of
+its time.  Reports are pure functions of the config.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,7 @@ from .errors import (
     NonPositiveAmplitude,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, sample_empirical, sample_observed_debiased
+from .sampling import EmpiricalSpectrum, SeedSpec, _draw_debiased, _draw_empirical
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -39,6 +43,8 @@ from .spectrum import (
     model_to_dict,
     noise_from_dict,
     noise_to_dict,
+    noise_values,
+    spectrum_values,
 )
 from .whittle import (
     Band,
@@ -219,12 +225,7 @@ def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary
     )
 
 
-def _replicate(cfg: ExperimentConfig, index: int) -> tuple[float, str]:
-    seed = SeedSpec(cfg.master_seed, index)
-    if cfg.noise is not None:
-        spectrum = sample_observed_debiased(cfg.model, cfg.noise, cfg.l_max, seed)
-    else:
-        spectrum = sample_empirical(cfg.model, cfg.l_max, seed)
+def _replicate(cfg: ExperimentConfig, spectrum: EmpiricalSpectrum) -> tuple[float, str]:
     try:
         result = estimate(spectrum, cfg.band, cfg.box)
     except NonPositiveAmplitude:
@@ -237,16 +238,19 @@ def _replicate(cfg: ExperimentConfig, index: int) -> tuple[float, str]:
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCarloReport:
     """Run all replications and assemble the report.
 
-    threads > 1 distributes replications over a thread pool; results are
-    collected by replication index, so the report is identical for any
-    thread count.
+    threads is accepted and ignored (deprecated): replications run
+    serially, so the report depends on the config alone.
     """
-    indices = range(cfg.replications)
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda i: _replicate(cfg, i), indices))
+    c = spectrum_values(cfg.model, cfg.l_max)
+    if cfg.noise is None:
+        draw = partial(_draw_empirical, c)
     else:
-        outcomes = [_replicate(cfg, i) for i in indices]
+        c_n = noise_values(cfg.noise, cfg.l_max)
+        draw = partial(_draw_debiased, c + c_n, c_n)
+    outcomes = [
+        _replicate(cfg, draw(SeedSpec(cfg.master_seed, i)))
+        for i in range(cfg.replications)
+    ]
 
     alpha0 = asymptotic_params(cfg.model).alpha0
     factor = normalization_factor(cfg.scheme)

@@ -12,6 +12,7 @@ reproducible regardless of scheduling.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,16 +119,28 @@ def generator(seed: SeedSpec) -> np.random.Generator:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _chisq_df(l_max: int) -> np.ndarray:
+    # degrees of freedom 2l+1 for l = 1..l_max, shared read-only
+    df = 2.0 * np.arange(1, l_max + 1, dtype=float) + 1.0
+    df.setflags(write=False)
+    return df
+
+
 def _chisq_ratios(l_max: int, rng: np.random.Generator) -> np.ndarray:
     # X_l / (2l+1) with X_l ~ chi2(2l+1), one draw per multipole
-    df = 2.0 * np.arange(1, l_max + 1, dtype=float) + 1.0
+    df = _chisq_df(l_max)
     return rng.chisquare(df) / df
+
+
+def _draw_empirical(c: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
+    # sample_empirical for precomputed model values c = C_1..C_L
+    return EmpiricalSpectrum(values=c * _chisq_ratios(c.size, generator(seed)))
 
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Draw C_hat_l = C_l * chi2(2l+1)/(2l+1) for l = 1..l_max."""
-    c = spectrum_values(model, l_max)
-    return EmpiricalSpectrum(values=c * _chisq_ratios(l_max, generator(seed)))
+    return _draw_empirical(spectrum_values(model, l_max), seed)
 
 
 def sample_alm(model: SpectrumModel, l_max: int, seed: SeedSpec) -> HarmonicCoefficients:
@@ -151,6 +164,12 @@ def empirical_from_alm(coeffs: HarmonicCoefficients) -> EmpiricalSpectrum:
     return EmpiricalSpectrum(values=sums / (2 * l + 1))
 
 
+def _draw_debiased(total: np.ndarray, c_n: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
+    # sample_observed_debiased for precomputed total = C_T + C_N and C_N
+    ratios = _chisq_ratios(total.size, generator(seed))
+    return EmpiricalSpectrum(values=total * ratios - c_n, debiased=True)
+
+
 def sample_observed_debiased(
     model: SpectrumModel, noise: NoiseModel, l_max: int, seed: SeedSpec
 ) -> EmpiricalSpectrum:
@@ -161,8 +180,7 @@ def sample_observed_debiased(
     """
     c_t = spectrum_values(model, l_max)
     c_n = noise_values(noise, l_max)
-    ratios = _chisq_ratios(l_max, generator(seed))
-    return EmpiricalSpectrum(values=(c_t + c_n) * ratios - c_n, debiased=True)
+    return _draw_debiased(c_t + c_n, c_n, seed)
 
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:

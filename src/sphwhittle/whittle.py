@@ -17,6 +17,7 @@ scales the empirical bias sign under kappa > 0 is positive.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -51,7 +52,6 @@ __all__ = [
     "estimate",
     "correction_factor",
     "normalization_factor",
-    "noise_h",
     "noise_variance_constant",
     "noise_scheme_from_estimate",
     "debiased_variance_ratio",
@@ -59,6 +59,8 @@ __all__ = [
 
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 _MAX_EVALS = 200
+# a Newton step this small leaves the next iterate within roundoff of the root
+_NEWTON_STOP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,13 @@ class SearchBox:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Minimizer output; g_hat is recomputed from the data at alpha_hat."""
+    """Minimizer output; g_hat is Ghat evaluated from the data at alpha_hat.
+
+    evaluations counts the passes over the band that located alpha_hat
+    (evaluations of Ghat or of its moments); it is always >= 1.  converged means the
+    stopping rule was met before the iteration cap; an estimate on a box
+    edge can be converged, and boundary_hit flags it.
+    """
 
     alpha_hat: float
     g_hat: float
@@ -136,20 +144,64 @@ def narrow_band(l_max: int, c_g: float = 1.0) -> Band:
     return Band(l_lo, l_max)
 
 
+@dataclass(frozen=True)
+class _BandArrays:
+    """Spectrum-free band quantities; the arrays are read-only and shared."""
+
+    w: np.ndarray
+    log_l: np.ndarray
+    log_l2: np.ndarray
+    w_sum: float
+    wbar: float
+    # log l - wbar and its square: the score and curvature as centered
+    # moments, free of the cancellation in Ghat_1/Ghat - wbar
+    log_c: np.ndarray
+    log_c2: np.ndarray
+    # the weighted-OLS slope of y on log l is dot(ols_weights, y) / ols_den
+    ols_weights: np.ndarray
+    ols_den: float
+
+
+@functools.lru_cache(maxsize=32)
+def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
+    l = np.arange(l_lo, l_hi + 1, dtype=float)
+    w = 2.0 * l + 1.0
+    log_l = np.log(l)
+    w_sum = float(w.sum())
+    wbar = float((w * log_l).sum() / w_sum)
+    log_l2 = log_l**2
+    log_c = log_l - wbar
+    log_c2 = log_c**2
+    ols_weights = w * log_c
+    for a in (w, log_l, log_l2, log_c, log_c2, ols_weights):
+        a.setflags(write=False)
+    return _BandArrays(
+        w=w,
+        log_l=log_l,
+        log_l2=log_l2,
+        w_sum=w_sum,
+        wbar=wbar,
+        log_c=log_c,
+        log_c2=log_c2,
+        ols_weights=ols_weights,
+        ols_den=float(np.dot(w, log_c2)),
+    )
+
+
 class _BandData:
-    """Per-(spectrum, band) precomputation shared by all evaluations."""
+    """Per-(spectrum, band) data; the band arrays are cached per band."""
 
     def __init__(self, spectrum: EmpiricalSpectrum, band: Band) -> None:
         if band.l_hi > spectrum.l_max:
             raise ValueError(
                 f"band [{band.l_lo}, {band.l_hi}] exceeds spectrum l_max={spectrum.l_max}"
             )
-        l = np.arange(band.l_lo, band.l_hi + 1, dtype=float)
-        w = 2.0 * l + 1.0
-        self.log_l = np.log(l)
-        self.w_sum = float(w.sum())
-        self.wbar = float((w * self.log_l).sum() / self.w_sum)
-        self.wc = w * spectrum.values[band.l_lo - 1 : band.l_hi]
+        self.arrays = _band_arrays(band.l_lo, band.l_hi)
+        self.log_l = self.arrays.log_l
+        self.w_sum = self.arrays.w_sum
+        self.wbar = self.arrays.wbar
+        self.values = spectrum.values[band.l_lo - 1 : band.l_hi]
+        self.wc = self.arrays.w * self.values
 
     def ghat(self, alpha: float) -> float:
         return float(np.dot(self.wc, np.exp(alpha * self.log_l))) / self.w_sum
@@ -158,8 +210,16 @@ class _BandData:
         tilt = self.wc * np.exp(alpha * self.log_l)
         g0 = float(tilt.sum())
         g1 = float(np.dot(tilt, self.log_l))
-        g2 = float(np.dot(tilt, self.log_l**2))
+        g2 = float(np.dot(tilt, self.arrays.log_l2))
         return g0 / self.w_sum, g1 / self.w_sum, g2 / self.w_sum
+
+    def centered_moments(self, alpha: float) -> tuple[float, float, float]:
+        """(Ghat, score, curvature) at alpha from centered log moments."""
+        tilt = self.wc * np.exp(alpha * self.log_l)
+        g0 = float(tilt.sum())
+        s = float(np.dot(tilt, self.arrays.log_c)) / g0
+        q = float(np.dot(tilt, self.arrays.log_c2)) / g0 - s * s
+        return g0 / self.w_sum, s, q
 
 
 def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
@@ -279,29 +339,17 @@ def _brent(f, a: float, b: float, tol: float, budget) -> tuple[float, float, boo
     return x, fx, False
 
 
-def estimate(
-    spectrum: EmpiricalSpectrum, band: Band | None = None, box: SearchBox | None = None
-) -> EstimateResult:
-    """Minimize the concentrated objective over the box.
+def _brent_search(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
+    """Brent search plus score polish, for bands that may hold values <= 0.
 
     Golden-section with parabolic acceleration localizes the minimum to tol;
     away from the boundary, up to two Newton steps on the score then refine
     the minimizer below the function-comparison roundoff floor (short bands
     need this to certify tight tolerances on alpha_hat and g_hat).
-    Boundary minima are snapped to the box edge and flagged.
-
-    Raises NonPositiveAmplitude the first time any probed alpha gives
-    Ghat(alpha) <= 0 (endpoints and midpoint probed first), and
-    DegenerateBand for bands of fewer than 2 multipoles.
+    Boundary minima are snapped to the box edge.  Returns (alpha, Ghat(alpha),
+    evaluations, converged).
     """
-    band = _band_or_full(spectrum, band)
-    if box is None:
-        box = SearchBox()
-    if band.width < 2:
-        raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
-    data = _BandData(spectrum, band)
     a1, a2, tol = box.alpha_min, box.alpha_max, box.tol
-
     evals = 0
 
     def budget() -> bool:
@@ -331,8 +379,7 @@ def estimate(
                 x, fx = edge, f_edge
             break
 
-    boundary_hit = (x - a1) < tol or (a2 - x) < tol
-    if not boundary_hit:
+    if not ((x - a1) < tol or (a2 - x) < tol):
         for _ in range(2):
             if not budget():
                 break
@@ -346,11 +393,95 @@ def estimate(
                 break
             step = s / q
             x = min(max(x - step, a1), a2)
-        boundary_hit = (x - a1) < tol or (a2 - x) < tol
 
     g_hat = data.ghat(x)
     if g_hat <= 0:
         raise NonPositiveAmplitude(f"Ghat({x}) = {g_hat} <= 0")
+    return x, g_hat, evals, converged
+
+
+def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
+    """Root of the score by safeguarded Newton-bisection, for positive bands.
+
+    With positive values R is a log-sum-exp of affine functions of alpha,
+    so it is convex and its score increases: the minimizer over the box is
+    the score's root, or the edge at which the score keeps its sign.  The
+    start is the weighted-OLS slope of log Chat_l on log l, clipped into the
+    box.  As in rtsafe (Numerical Recipes 9.4), a Newton step is taken only
+    when it stays inside the bracket and at most halves the step before the
+    last; otherwise the bracket is bisected.  A box edge is evaluated only
+    when a Newton step tries to leave the box through it.  The search stops
+    at the first point reached by a step of at most _NEWTON_STOP, which
+    quadratic convergence puts within roundoff of the root.  Returns (alpha,
+    Ghat(alpha), moment evaluations, converged).
+    """
+    a1, a2 = box.alpha_min, box.alpha_max
+    arrays = data.arrays
+    slope = float(np.dot(arrays.ols_weights, np.log(data.values))) / arrays.ols_den
+    x = min(max(-slope, a1), a2)
+    # the score is negative at lo and positive at hi once they are known;
+    # until then they are the box edges
+    lo, hi = a1, a2
+    lo_known = hi_known = False
+    dx = dx_old = a2 - a1
+    evals = 0
+    while evals < _MAX_EVALS:
+        evals += 1
+        g0, s, q = data.centered_moments(x)
+        if not g0 > 0:
+            raise NonPositiveAmplitude(f"Ghat({x}) = {g0} <= 0")
+        if s > 0:
+            if x == a1:
+                return x, g0, evals, True
+            hi, hi_known = x, True
+        elif s < 0:
+            if x == a2:
+                return x, g0, evals, True
+            lo, lo_known = x, True
+        newton = x - s / q if q > 0 else math.nan
+        # newton == x: the step is below the resolution of x
+        if s == 0 or newton == x or abs(dx) <= _NEWTON_STOP:
+            return x, g0, evals, True
+        if not lo < newton < hi:
+            if newton <= lo and not lo_known:
+                target = a1
+            elif newton >= hi and not hi_known:
+                target = a2
+            else:
+                target = 0.5 * (lo + hi)
+        elif abs(2.0 * s) > abs(dx_old * q):
+            target = 0.5 * (lo + hi)
+        else:
+            target = newton
+        dx_old, dx = dx, target - x
+        x = target
+    return x, g0, evals, False
+
+
+def estimate(
+    spectrum: EmpiricalSpectrum, band: Band | None = None, box: SearchBox | None = None
+) -> EstimateResult:
+    """Minimize the concentrated objective over the box.
+
+    When every spectrum value in the band is positive the objective is
+    convex and its minimizer is found as the root of the score
+    (safeguarded Newton-bisection from a weighted-OLS start).  Otherwise
+    (debiased spectra) a Brent search with a score polish runs; it prechecks
+    the amplitude at the endpoints and the midpoint.  An estimate within tol
+    of a box edge is flagged as a boundary hit.
+
+    Raises NonPositiveAmplitude the first time any probed alpha gives
+    Ghat(alpha) <= 0, and DegenerateBand for bands of fewer than 2
+    multipoles.
+    """
+    band = _band_or_full(spectrum, band)
+    if box is None:
+        box = SearchBox()
+    if band.width < 2:
+        raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
+    data = _BandData(spectrum, band)
+    minimize = _score_root if (data.values > 0).all() else _brent_search
+    x, g_hat, evals, converged = minimize(data, box)
     return EstimateResult(
         alpha_hat=float(x),
         g_hat=float(g_hat),
@@ -358,7 +489,7 @@ def estimate(
         band=band,
         evaluations=evals,
         converged=converged,
-        boundary_hit=bool(boundary_hit),
+        boundary_hit=bool((x - box.alpha_min) < box.tol or (box.alpha_max - x) < box.tol),
     )
 
 
@@ -413,18 +544,6 @@ class Rate:
 
 
 NormalizationScheme = Union[FullBand, NarrowBand, NoiseSub, Rate]
-
-
-def noise_h(u: float) -> float:
-    """Reference inflation constant H(u) = (7 + 4u + u^2) / (4 (1+u)^3).
-
-    Kept for comparison; the NoiseSub normalization uses
-    noise_variance_constant, which matches the exact score variance (see
-    tests for the summation oracle).
-    """
-    if not u > -1:
-        raise ValueError("u must exceed -1")
-    return (7.0 + 4.0 * u + u * u) / (4.0 * (1.0 + u) ** 3)
 
 
 def noise_variance_constant(u: float) -> float:

@@ -213,3 +213,20 @@ class TestExitCodes:
     def test_config_error_in_model(self, tmp_path):
         cfg = write_config(tmp_path / "mc.json", mc_config(model={"type": "mystery"}))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_simulate_zero_l_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"model": {"type": "power_law", "g0": 2.0, "alpha0": 3.0}, "L": 0, "seed": 1},
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "L must be >= 1" in capsys.readouterr().err
+
+    def test_simulate_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"model": {"type": "power_law", "g0": 2.0, "alpha0": 3.0}, "L": 20},
+        )
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert main(argv) == 1
+        assert "master_seed" in capsys.readouterr().err

@@ -17,10 +17,13 @@ from sphwhittle import (
     KappaPerturbed,
     NarrowBand,
     NoiseModel,
+    NonPositiveAmplitude,
     Rate,
     SampleSizeOutOfRange,
     SearchBox,
+    SeedSpec,
     correction_factor,
+    estimate,
     experiment_from_dict,
     experiment_to_dict,
     full_band,
@@ -29,6 +32,8 @@ from sphwhittle import (
     quantile_frequencies,
     report_to_dict,
     run_experiment,
+    sample_empirical,
+    sample_observed_debiased,
     shapiro_wilk,
     summarize,
     write_report_files,
@@ -247,6 +252,24 @@ class TestRunExperiment:
         d2 = json.dumps(report_to_dict(r2, resolved), sort_keys=True)
         d4 = json.dumps(report_to_dict(r4, resolved), sort_keys=True)
         assert d1 == d2 == d4
+
+    @pytest.mark.parametrize("noise", [None, {"g_n": 1.0, "gamma": 2.2}])
+    def test_replications_match_public_samplers(self, noise):
+        # run_experiment computes the model spectra once per run; each
+        # replication must still be the public sampler's draw, bit for bit
+        cfg, _ = experiment_from_dict(base_config(noise=noise, replications=20))
+        report = run_experiment(cfg)
+        for i, alpha_hat in enumerate(report.all_alpha_hats):
+            seed = SeedSpec(cfg.master_seed, i)
+            if cfg.noise is None:
+                spectrum = sample_empirical(cfg.model, cfg.l_max, seed)
+            else:
+                spectrum = sample_observed_debiased(cfg.model, cfg.noise, cfg.l_max, seed)
+            try:
+                expected = estimate(spectrum, cfg.band, cfg.box).alpha_hat
+            except NonPositiveAmplitude:
+                expected = float("nan")
+            assert np.array_equal(alpha_hat, expected, equal_nan=True)
 
     def test_mse_identity(self):
         cfg, _ = experiment_from_dict(base_config(replications=64))

@@ -27,7 +27,6 @@ from sphwhittle import (
     g_hat_k,
     joint_objective,
     narrow_band,
-    noise_h,
     noise_scheme_from_estimate,
     noise_variance_constant,
     normalization_factor,
@@ -264,6 +263,51 @@ class TestEstimate:
         assert result.boundary_hit
         assert result.alpha_hat == pytest.approx(4.0, abs=1e-6)
 
+    def test_boundary_at_upper_edge(self):
+        spec = exact_spectrum(2.0, 3.0, 500)
+        result = estimate(spec, full_band(500), SearchBox(2.01, 2.5))
+        assert result.boundary_hit
+        assert result.converged
+        assert result.alpha_hat == 2.5
+
+    @pytest.mark.parametrize(
+        "l_max, seed, band, alpha_ref",
+        [
+            # alpha_hat of the Brent search plus score polish, which ran on
+            # every spectrum before positive bands got the score-root path
+            (50, 3, "full", 2.983898358199021),
+            (50, 3, "c_g", 3.520889060270583),
+            (50, 3, "L1", 3.4467703946250445),
+            (50, 4, "full", 2.993409261658981),
+            (50, 4, "c_g", 2.4626826593684363),
+            (50, 4, "L1", 2.3013119547424594),
+            (2000, 3, "full", 3.0036170317098945),
+            (2000, 3, "c_g", 3.014959933593477),
+            (2000, 3, "L1", 2.9984422123212706),
+            (2000, 4, "full", 2.9981454880696026),
+            (2000, 4, "c_g", 2.9588353804322476),
+            (2000, 4, "L1", 2.989188930521671),
+        ],
+    )
+    def test_positive_bands_match_search_reference(self, l_max, seed, band, alpha_ref):
+        spec = sample_empirical(MODEL, l_max, SeedSpec(seed, 0))
+        bands = {
+            "full": full_band(l_max),
+            "c_g": narrow_band(l_max, 1.0),
+            "L1": Band(int(0.8 * l_max), l_max),
+        }
+        result = estimate(spec, bands[band], SearchBox())
+        assert not result.boundary_hit
+        assert abs(result.alpha_hat - alpha_ref) <= 1e-12
+
+    def test_positive_band_evaluations(self):
+        for i in range(10):
+            spec = sample_empirical(MODEL, 2000, SeedSpec(21, i))
+            for band in (full_band(2000), narrow_band(2000, 1.0)):
+                result = estimate(spec, band, SearchBox())
+                assert result.converged
+                assert 1 <= result.evaluations <= 8
+
     def test_noise_dominated_hits_upper_boundary(self):
         # gamma < alpha0 - 1: the debiased objective favors the box edge
         noise = NoiseModel(1.0, 1.0)
@@ -403,11 +447,6 @@ class TestNormalizationFactor:
 
 
 class TestNoiseConstants:
-    def test_noise_h_values(self):
-        assert noise_h(0.0) == pytest.approx(7 / 4, rel=1e-15)
-        assert noise_h(0.5) == pytest.approx(0.685185185, abs=1e-9)
-        assert noise_h(1.0) == pytest.approx(0.375, rel=1e-15)
-
     def test_variance_constant(self):
         assert noise_variance_constant(0.0) == pytest.approx(1.0, rel=1e-15)
         assert noise_variance_constant(0.5) == pytest.approx(1.25 / 3.375, rel=1e-14)
