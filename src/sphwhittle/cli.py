@@ -8,6 +8,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -94,15 +95,23 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _reading(what: str):
+    """Map the errors a malformed config raises while it is read to ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} missing key {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _require_seed(config: dict, override: int | None) -> int:
     if override is not None:
         return override
     if "seed" not in config:
         raise ConfigError("config needs 'seed' (or pass --seed)")
-    try:
-        return int(config["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad seed: {config['seed']!r}") from exc
+    return int(config["seed"])
 
 
 def _float_str(x: float) -> str:
@@ -116,7 +125,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
-    try:
+    with _reading("simulate config"):
         model = model_from_dict(config["model"])
         noise = noise_from_dict(config["noise"]) if config.get("noise") else None
         l_max = int(config["L"])
@@ -125,10 +134,6 @@ def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
         exact = bool(config.get("exact", False))
         if not exact:
             seed = SeedSpec(_require_seed(config, seed_override), 0)
-    except KeyError as exc:
-        raise ConfigError(f"simulate config missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulate config: {exc}") from exc
     if exact:
         spectrum = EmpiricalSpectrum(spectrum_values(model, l_max))
     else:
@@ -140,20 +145,23 @@ def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
 
 
 def _cmd_estimate(config: dict, out: Path) -> None:
-    if "input" not in config:
+    path = config.get("input")
+    if not isinstance(path, str):
         raise ConfigError("estimate config needs 'input' (spectrum CSV path)")
-    spectrum = read_spectrum_csv(config["input"])
+    with _reading(f"spectrum CSV {path}"):
+        spectrum = read_spectrum_csv(path)
     l_max = spectrum.l_max
-    if "L" in config and int(config["L"]) != l_max:
-        raise ConfigError(f"config L={config['L']} but {config['input']} has L={l_max}")
-    band, _, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
-    box = box_from_dict(config.get("box", {}))
+    with _reading("estimate config"):
+        if "L" in config and int(config["L"]) != l_max:
+            raise ConfigError(f"config L={config['L']} but {path} has L={l_max}")
+        band, _, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
+        box = box_from_dict(config.get("box", {}))
     result = estimate(spectrum, band, box)
     _write_json(
         out / "estimate.json",
         {
             "config": {
-                "input": str(config["input"]),
+                "input": path,
                 "L": l_max,
                 "band": band_resolved,
                 "box": {
@@ -180,41 +188,35 @@ def _cmd_mc(config: dict, out: Path, seed_override: int | None) -> None:
     write_report_files(run_experiment(cfg), resolved, out)
 
 
-def _oracle_float_list(config: dict, key: str, default) -> list[float]:
-    values = config.get(key, default)
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {values!r}") from exc
-
-
 def _cmd_oracle(config: dict, out: Path) -> None:
-    if "L" in config:
-        l_values = [int(config["L"])]
-    else:
-        l_values = [int(v) for v in config.get("L_values", _ORACLE_L_VALUES)]
-    s_full = _oracle_float_list(config, "s_values", _ORACLE_S_FULL)
-    s_narrow = _oracle_float_list(config, "narrow_s_values", _ORACLE_S_NARROW)
-    c_g = float(config.get("c_g", 1.0))
-
-    with open(out / "oracle.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["L", "s", "g", "z_over_limit", "target"])
+    rows = []
+    # the table is a function of the config alone: a value it cannot take
+    # is a config error
+    with _reading("oracle config"):
+        if "L" in config:
+            l_values = [int(config["L"])]
+        else:
+            l_values = [int(v) for v in config.get("L_values", _ORACLE_L_VALUES)]
+        s_full = [float(v) for v in config.get("s_values", _ORACLE_S_FULL)]
+        s_narrow = [float(v) for v in config.get("narrow_s_values", _ORACLE_S_NARROW)]
+        c_g = float(config.get("c_g", 1.0))
         for l_max in l_values:
             # full-band rows carry g=1.0: the band is the whole range
             for s in s_full:
                 target = z_limit_fullband(s)
                 ratio = z_fullband(l_max, s) / l_max ** (4 + 2 * s) / target
-                writer.writerow(
-                    [l_max, _float_str(s), _float_str(1.0), _float_str(ratio), _float_str(target)]
-                )
+                rows.append([l_max, s, 1.0, ratio, target])
             g = c_g / math.log(l_max)
             for s in s_narrow:
                 target = k_factor(s)
                 ratio = z_narrowband(l_max, g, s) / (l_max ** (4 + 2 * s) * g**4) / target
-                writer.writerow(
-                    [l_max, _float_str(s), _float_str(g), _float_str(ratio), _float_str(target)]
-                )
+                rows.append([l_max, s, g, ratio, target])
+
+    with open(out / "oracle.csv", "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["L", "s", "g", "z_over_limit", "target"])
+        for l_max, *floats in rows:
+            writer.writerow([l_max, *map(_float_str, floats)])
 
     # u_limit has its lone zero at 0; the table covers (-1.9, 5] in 1e-3 steps
     with open(out / "ulimit.csv", "w", newline="\n") as fh:

@@ -3,6 +3,7 @@
 Validation-type errors derive from SphwhittleError directly; failures that
 arise from the data (rather than from how a call was made) derive from
 NumericalError so batch front-ends can map them to a distinct exit status.
+The spectrum-value errors are also ValueErrors (bad EmpiricalSpectrum input).
 """
 from __future__ import annotations
 
@@ -51,8 +52,12 @@ class NonPositiveAmplitude(NumericalError):
     """Weighted amplitude G-hat(alpha) <= 0: noise overwhelms the signal."""
 
 
-class NonPositiveValue(NumericalError):
+class NonPositiveValue(NumericalError, ValueError):
     """Spectrum value <= 0 where a positive one is required."""
+
+
+class NonFiniteValue(NumericalError, ValueError):
+    """Spectrum value that is infinite or NaN."""
 
 
 class UnsupportedRegime(NumericalError):

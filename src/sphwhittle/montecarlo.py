@@ -295,21 +295,21 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
 
 def band_from_dict(d: dict, l_max: int) -> tuple[Band, float | None, dict]:
     """Band rule -> (band, band fraction g or None for full, resolved form)."""
-    kind = d.get("type")
-    if kind == "full":
-        return full_band(l_max), None, {"type": "full"}
-    if kind == "narrow":
-        if "L1" in d:
-            l1 = int(d["L1"])
+    match d:
+        case {"type": "full"}:
+            return full_band(l_max), None, {"type": "full"}
+        case {"type": "narrow", "L1": l1}:
+            l1 = int(l1)
             if not 1 <= l1 <= l_max:
                 raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
             return Band(l1, l_max), 1.0 - l1 / l_max, {"type": "narrow", "L1": l1}
-        if "c_g" in d:
-            c_g = float(d["c_g"])
+        case {"type": "narrow", "c_g": c_g}:
+            c_g = float(c_g)
             band = narrow_band(l_max, c_g)
             return band, c_g / math.log(l_max), {"type": "narrow", "c_g": c_g}
-        raise ConfigError("narrow band needs 'L1' or 'c_g'")
-    raise ConfigError(f"unknown band type {kind!r}")
+        case {"type": "narrow"}:
+            raise ConfigError("narrow band needs 'L1' or 'c_g'")
+    raise ConfigError(f"unknown band rule {d!r}")
 
 
 def box_from_dict(d: dict) -> SearchBox:
@@ -320,7 +320,7 @@ def box_from_dict(d: dict) -> SearchBox:
             alpha_max=float(d.get("alpha_max", 10.0)),
             tol=float(d.get("tol", 1e-6)),
         )
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad search box: {exc}") from exc
 
 
@@ -332,13 +332,13 @@ def _scheme_from_dict(
     noise: NoiseModel | None,
 ) -> NormalizationScheme:
     kind = d.get("type")
-    if kind == "fullband":
+    if kind == FullBand.tag:
         return FullBand(l_max=l_max, corrected=bool(d.get("corrected", False)))
-    if kind == "narrowband":
+    if kind == NarrowBand.tag:
         if band_g is None:
             raise ConfigError("narrowband scheme requires a narrow band rule")
         return NarrowBand(l_max=l_max, g=band_g)
-    if kind == "noise":
+    if kind == NoiseSub.tag:
         if noise is None:
             raise ConfigError("noise scheme requires a noise model")
         params = asymptotic_params(model)
@@ -349,7 +349,7 @@ def _scheme_from_dict(
             g0=params.g0,
             g_n=noise.g_n,
         )
-    if kind == "rate":
+    if kind == Rate.tag:
         return Rate(l_max=l_max)
     raise ConfigError(f"unknown scheme type {kind!r}")
 
@@ -391,21 +391,16 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
         raise
     except KeyError as exc:
         raise ConfigError(f"experiment config missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return cfg, experiment_to_dict(cfg, band_resolved)
 
 
 def _scheme_to_dict(scheme: NormalizationScheme) -> dict:
-    if isinstance(scheme, FullBand):
-        return {"type": "fullband", "corrected": scheme.corrected}
-    if isinstance(scheme, NarrowBand):
-        return {"type": "narrowband"}
-    if isinstance(scheme, NoiseSub):
-        return {"type": "noise"}
-    if isinstance(scheme, Rate):
-        return {"type": "rate"}
-    raise TypeError(f"not a normalization scheme: {scheme!r}")
+    # the other schemes' fields follow from the model, noise and band
+    if scheme.tag == FullBand.tag:
+        return {"type": scheme.tag, "corrected": scheme.corrected}
+    return {"type": scheme.tag}
 
 
 def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict | None = None) -> dict:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import NonFiniteValue, NonPositiveValue, OutOfRange
 from .spectrum import NoiseModel, SpectrumModel, noise_values, spectrum_values
 
 __all__ = [
@@ -52,9 +52,9 @@ class EmpiricalSpectrum:
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-D array")
         if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
+            raise NonFiniteValue("values must be finite")
         if not self.debiased and not (values > 0).all():
-            raise ValueError("non-debiased spectrum values must be positive")
+            raise NonPositiveValue("non-debiased spectrum values must be positive")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

@@ -7,11 +7,15 @@ first-order perturbation measured by kappa: C_l ~ g0 * (1 + kappa/l + o(1/l))
 (a well-defined mean-square continuous field); values in (0, 2] are accepted
 because sampling and estimation stay valid there and simulation designs use
 alpha0 = 2.
+
+Each model class carries its formula, values_at(l) on an array of float
+multipoles, its large-l parameters and its JSON tag; the module functions
+call them, so single and array evaluations are one computation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -47,9 +51,19 @@ def _powers(l: np.ndarray, s: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class AsymptoticParams:
+    """Large-l description (g0, alpha0, kappa) of a spectrum model."""
+
+    g0: float
+    alpha0: float
+    kappa: float
+
+
+@dataclass(frozen=True)
 class ExactPowerLaw:
     """C_l = g0 * l**(-alpha0)."""
 
+    tag: ClassVar[str] = "power_law"
     g0: float
     alpha0: float
 
@@ -59,11 +73,18 @@ class ExactPowerLaw:
         if not (self.alpha0 > 0):
             raise ValueError("alpha0 must be positive")
 
+    def values_at(self, l: np.ndarray) -> np.ndarray:
+        return self.g0 * _powers(l, -self.alpha0)
+
+    def asymptotic_params(self) -> AsymptoticParams:
+        return AsymptoticParams(self.g0, self.alpha0, 0.0)
+
 
 @dataclass(frozen=True)
 class KappaPerturbed:
     """C_l = g0 * (1 + kappa/l) * l**(-alpha0); kappa > -1 keeps C_l > 0."""
 
+    tag: ClassVar[str] = "kappa"
     g0: float
     alpha0: float
     kappa: float
@@ -76,6 +97,12 @@ class KappaPerturbed:
         if not (self.kappa > -1):
             raise ValueError("kappa must exceed -1")
 
+    def values_at(self, l: np.ndarray) -> np.ndarray:
+        return self.g0 * (1.0 + self.kappa / l) * _powers(l, -self.alpha0)
+
+    def asymptotic_params(self) -> AsymptoticParams:
+        return AsymptoticParams(self.g0, self.alpha0, self.kappa)
+
 
 @dataclass(frozen=True)
 class Rational:
@@ -86,6 +113,7 @@ class Rational:
     and kappa = p[1]/p[0] - q[1]/q[0].
     """
 
+    tag: ClassVar[str] = "rational"
     p: tuple[float, ...]
     q: tuple[float, ...]
     alpha0: float
@@ -103,11 +131,24 @@ class Rational:
         if not (np.polyval(self.p, l) > 0).all() or not (np.polyval(self.q, l) > 0).all():
             raise ValueError("P and Q must be positive for all l >= 1")
 
+    def values_at(self, l: np.ndarray) -> np.ndarray:
+        # construction checks a fixed horizon; re-check the requested range
+        num = np.polyval(self.p, l)
+        den = np.polyval(self.q, l)
+        if not (num > 0).all() or not (den > 0).all():
+            raise OutOfRange(f"P or Q is not positive for some l <= {int(l.max())}")
+        return (num / den) * _powers(l, -self.alpha0)
+
+    def asymptotic_params(self) -> AsymptoticParams:
+        kappa = 0.0 if len(self.p) == 1 else self.p[1] / self.p[0] - self.q[1] / self.q[0]
+        return AsymptoticParams(self.p[0] / self.q[0], self.alpha0, kappa)
+
 
 @dataclass(frozen=True)
 class Tabulated:
     """Explicit positive values for l = 1..len(values); no tail model."""
 
+    tag: ClassVar[str] = "table"
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -121,8 +162,18 @@ class Tabulated:
     def l_max(self) -> int:
         return len(self.values)
 
+    def values_at(self, l: np.ndarray) -> np.ndarray:
+        if l.max() > self.l_max:
+            raise OutOfRange(f"tabulated model has l_max={self.l_max} < {int(l.max())}")
+        return np.array(self.values)[l.astype(int) - 1]
+
+    def asymptotic_params(self) -> AsymptoticParams:
+        raise Unsupported("tabulated models have no asymptotic parameters")
+
 
 SpectrumModel = Union[ExactPowerLaw, KappaPerturbed, Rational, Tabulated]
+
+_MODELS = {cls.tag: cls for cls in (ExactPowerLaw, KappaPerturbed, Rational, Tabulated)}
 
 
 @dataclass(frozen=True)
@@ -143,77 +194,44 @@ class NoiseModel:
         if not (self.gamma > 0):
             raise ValueError("gamma must be positive")
 
+    def values_at(self, l: np.ndarray) -> np.ndarray:
+        return self.g_n * _powers(l, -self.gamma)
 
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Large-l description (g0, alpha0, kappa) of a spectrum model."""
 
-    g0: float
-    alpha0: float
-    kappa: float
+def _evaluate(model: SpectrumModel | NoiseModel, l: np.ndarray) -> np.ndarray:
+    c = model.values_at(l)
+    # a value that under- or overflows a float is outside the model's range
+    if not ((c > 0) & (c < np.inf)).all():
+        raise OutOfRange(f"C_l is not a positive finite float for some l <= {int(l[-1])}")
+    return c
 
 
 def spectrum_values(model: SpectrumModel, l_max: int) -> np.ndarray:
     """Return C_l for l = 1..l_max as a float array.
 
-    Raises OutOfRange if a Tabulated model is shorter than l_max.
+    Raises OutOfRange if a Tabulated model is shorter than l_max, or if some
+    C_l is not a positive finite float.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    if isinstance(model, Tabulated):
-        if l_max > model.l_max:
-            raise OutOfRange(f"tabulated model has l_max={model.l_max} < {l_max}")
-        return np.array(model.values[:l_max], dtype=float)
-    l = np.arange(1, l_max + 1, dtype=float)
-    if isinstance(model, ExactPowerLaw):
-        return model.g0 * _powers(l, -model.alpha0)
-    if isinstance(model, KappaPerturbed):
-        return model.g0 * (1.0 + model.kappa / l) * _powers(l, -model.alpha0)
-    if isinstance(model, Rational):
-        num = np.polyval(model.p, l)
-        den = np.polyval(model.q, l)
-        # construction checks a fixed horizon; re-check the requested range
-        if not (num > 0).all() or not (den > 0).all():
-            raise ValueError("P and Q must be positive for all l >= 1")
-        return (num / den) * _powers(l, -model.alpha0)
-    raise TypeError(f"not a spectrum model: {model!r}")
+    return _evaluate(model, np.arange(1, l_max + 1, dtype=float))
 
 
 def spectrum_value(model: SpectrumModel, l: int) -> float:
     """Return C_l for a single multipole l >= 1."""
     if l < 1:
         raise OutOfRange(f"multipole must be >= 1, got {l}")
-    if isinstance(model, Tabulated):
-        if l > model.l_max:
-            raise OutOfRange(f"tabulated model has l_max={model.l_max} < {l}")
-        return model.values[l - 1]
-    lf = float(l)
-    if isinstance(model, ExactPowerLaw):
-        return model.g0 * lf ** -model.alpha0
-    if isinstance(model, KappaPerturbed):
-        return model.g0 * (1.0 + model.kappa / lf) * lf ** -model.alpha0
-    if isinstance(model, Rational):
-        num = float(np.polyval(model.p, lf))
-        den = float(np.polyval(model.q, lf))
-        if num <= 0 or den <= 0:
-            raise ValueError("P and Q must be positive for all l >= 1")
-        return (num / den) * lf ** -model.alpha0
-    raise TypeError(f"not a spectrum model: {model!r}")
+    return float(_evaluate(model, np.array([float(l)]))[0])
 
 
 def noise_values(noise: NoiseModel, l_max: int) -> np.ndarray:
     """Return C_N,l for l = 1..l_max."""
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    l = np.arange(1, l_max + 1, dtype=float)
-    return noise.g_n * _powers(l, -noise.gamma)
+    return spectrum_values(noise, l_max)
 
 
 def noise_value(noise: NoiseModel, l: int) -> float:
     """Return C_N,l for a single multipole."""
-    if l < 1:
-        raise OutOfRange(f"multipole must be >= 1, got {l}")
-    return noise.g_n * float(l) ** -noise.gamma
+    return spectrum_value(noise, l)
 
 
 def asymptotic_params(model: SpectrumModel) -> AsymptoticParams:
@@ -221,76 +239,51 @@ def asymptotic_params(model: SpectrumModel) -> AsymptoticParams:
 
     Tabulated models carry no tail model and raise Unsupported.
     """
-    if isinstance(model, ExactPowerLaw):
-        return AsymptoticParams(model.g0, model.alpha0, 0.0)
-    if isinstance(model, KappaPerturbed):
-        return AsymptoticParams(model.g0, model.alpha0, model.kappa)
-    if isinstance(model, Rational):
-        g0 = model.p[0] / model.q[0]
-        if len(model.p) == 1:
-            kappa = 0.0
-        else:
-            kappa = model.p[1] / model.p[0] - model.q[1] / model.q[0]
-        return AsymptoticParams(g0, model.alpha0, kappa)
-    if isinstance(model, Tabulated):
-        raise Unsupported("tabulated models have no asymptotic parameters")
-    raise TypeError(f"not a spectrum model: {model!r}")
+    return model.asymptotic_params()
+
+
+def _kwargs(cls, d: dict) -> dict:
+    # the constructor arguments from a JSON form: sequences become tuples,
+    # everything else floats
+    return {
+        f.name: tuple(d[f.name]) if np.ndim(d[f.name]) else float(d[f.name])
+        for f in fields(cls)
+    }
+
+
+def _to_json(obj) -> dict:
+    # dataclass fields in declaration order, tuples as lists
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(obj).items()}
 
 
 def model_from_dict(d: dict) -> SpectrumModel:
     """Build a spectrum model from its JSON form (see README for the schema)."""
     try:
-        kind = d["type"]
-        if kind == "power_law":
-            return ExactPowerLaw(g0=float(d["g0"]), alpha0=float(d["alpha0"]))
-        if kind == "kappa":
-            return KappaPerturbed(
-                g0=float(d["g0"]), alpha0=float(d["alpha0"]), kappa=float(d["kappa"])
-            )
-        if kind == "rational":
-            return Rational(p=tuple(d["p"]), q=tuple(d["q"]), alpha0=float(d["alpha0"]))
-        if kind == "table":
-            return Tabulated(values=tuple(d["values"]))
+        cls = _MODELS.get(d["type"])
+        if cls is None:
+            raise ConfigError(f"unknown model type {d['type']!r}")
+        return cls(**_kwargs(cls, d))
     except KeyError as exc:
         raise ConfigError(f"model config missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
-    raise ConfigError(f"unknown model type {d.get('type')!r}")
 
 
 def model_to_dict(model: SpectrumModel) -> dict:
     """Inverse of model_from_dict."""
-    if isinstance(model, ExactPowerLaw):
-        return {"type": "power_law", "g0": model.g0, "alpha0": model.alpha0}
-    if isinstance(model, KappaPerturbed):
-        return {
-            "type": "kappa",
-            "g0": model.g0,
-            "alpha0": model.alpha0,
-            "kappa": model.kappa,
-        }
-    if isinstance(model, Rational):
-        return {
-            "type": "rational",
-            "p": list(model.p),
-            "q": list(model.q),
-            "alpha0": model.alpha0,
-        }
-    if isinstance(model, Tabulated):
-        return {"type": "table", "values": list(model.values)}
-    raise TypeError(f"not a spectrum model: {model!r}")
+    return {"type": model.tag, **_to_json(model)}
 
 
 def noise_from_dict(d: dict) -> NoiseModel:
     """Build a noise model from its JSON form."""
     try:
-        return NoiseModel(g_n=float(d["g_n"]), gamma=float(d["gamma"]))
+        return NoiseModel(**_kwargs(NoiseModel, d))
     except KeyError as exc:
         raise ConfigError(f"noise config missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad noise config: {exc}") from exc
 
 
 def noise_to_dict(noise: NoiseModel) -> dict:
     """Inverse of noise_from_dict."""
-    return {"g_n": noise.g_n, "gamma": noise.gamma}
+    return _to_json(noise)

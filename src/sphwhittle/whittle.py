@@ -9,18 +9,22 @@ and wbar = sum (2l+1) log l / W (natural logs, l = 1 included, weights over
 the band only).  Its minimizer alpha_hat estimates the spectral index and
 g_hat = Ghat(alpha_hat) the amplitude.
 
+The score and curvature are the tilted mean and variance of log l - wbar,
+computed from centered logs rather than as Ghat_1/Ghat - wbar.
+
 Normalization factors scale (alpha_hat - alpha0) so the limit law is N(0,1):
 full band sqrt(2) L / (4 c), narrow band L sqrt(g^3 / 12), and the
 noise-debiased regimes of NoiseSub.  The Rate scheme, L/(4 c_L), targets the
 first-order bias under a kappa perturbation instead of the CLT.  At desk
-scales the empirical bias sign under kappa > 0 is positive.
+scales the empirical bias sign under kappa > 0 is positive.  Each scheme
+class carries its own factor() and its config tag.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -214,12 +218,15 @@ class _BandData:
         return g0 / self.w_sum, g1 / self.w_sum, g2 / self.w_sum
 
     def centered_moments(self, alpha: float) -> tuple[float, float, float]:
-        """(Ghat, score, curvature) at alpha from centered log moments."""
+        """(Ghat, score, curvature) at alpha; NonPositiveAmplitude if Ghat <= 0."""
         tilt = self.wc * np.exp(alpha * self.log_l)
         g0 = float(tilt.sum())
+        g = g0 / self.w_sum
+        if not g > 0:
+            raise NonPositiveAmplitude(f"Ghat({alpha}) = {g} <= 0")
         s = float(np.dot(tilt, self.arrays.log_c)) / g0
         q = float(np.dot(tilt, self.arrays.log_c2)) / g0 - s * s
-        return g0 / self.w_sum, s, q
+        return g, s, q
 
 
 def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
@@ -267,23 +274,17 @@ def joint_objective(
 
 
 def score(spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None) -> float:
-    """Exact derivative of the objective: Ghat_1/Ghat - wbar."""
+    """Exact derivative of the objective, Ghat_1/Ghat - wbar."""
     data = _BandData(spectrum, _band_or_full(spectrum, band))
-    g0, g1, _ = data.ghat_moments(alpha)
-    if g0 <= 0:
-        raise NonPositiveAmplitude(f"Ghat({alpha}) = {g0} <= 0")
-    return g1 / g0 - data.wbar
+    return data.centered_moments(alpha)[1]
 
 
 def curvature(
     spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None
 ) -> float:
-    """Second derivative of the objective: (Ghat_2 Ghat - Ghat_1^2) / Ghat^2."""
+    """Second derivative of the objective, (Ghat_2 Ghat - Ghat_1^2) / Ghat^2."""
     data = _BandData(spectrum, _band_or_full(spectrum, band))
-    g0, g1, g2 = data.ghat_moments(alpha)
-    if g0 <= 0:
-        raise NonPositiveAmplitude(f"Ghat({alpha}) = {g0} <= 0")
-    return (g2 * g0 - g1 * g1) / (g0 * g0)
+    return data.centered_moments(alpha)[2]
 
 
 def _brent(f, a: float, b: float, tol: float, budget) -> tuple[float, float, bool]:
@@ -384,15 +385,10 @@ def _brent_search(data: _BandData, box: SearchBox) -> tuple[float, float, int, b
             if not budget():
                 break
             evals += 1
-            g0, g1, g2 = data.ghat_moments(x)
-            if g0 <= 0:
-                raise NonPositiveAmplitude(f"Ghat({x}) = {g0} <= 0")
-            s = g1 / g0 - data.wbar
-            q = (g2 * g0 - g1 * g1) / (g0 * g0)
+            _, s, q = data.centered_moments(x)
             if q <= 0:
                 break
-            step = s / q
-            x = min(max(x - step, a1), a2)
+            x = min(max(x - s / q, a1), a2)
 
     g_hat = data.ghat(x)
     if g_hat <= 0:
@@ -428,8 +424,6 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     while evals < _MAX_EVALS:
         evals += 1
         g0, s, q = data.centered_moments(x)
-        if not g0 > 0:
-            raise NonPositiveAmplitude(f"Ghat({x}) = {g0} <= 0")
         if s > 0:
             if x == a1:
                 return x, g0, evals, True
@@ -505,14 +499,20 @@ def correction_factor(l_max: int) -> float:
 class FullBand:
     """CLT factor sqrt(2) L / (4 c); c = c_L when corrected else 1."""
 
+    tag: ClassVar[str] = "fullband"
     l_max: int
     corrected: bool = False
+
+    def factor(self) -> float:
+        c = correction_factor(self.l_max) if self.corrected else 1.0
+        return math.sqrt(2.0) * self.l_max / (4.0 * c)
 
 
 @dataclass(frozen=True)
 class NarrowBand:
     """CLT factor L sqrt(g^3 / 12) for band fraction g in (0, 1)."""
 
+    tag: ClassVar[str] = "narrowband"
     l_max: int
     g: float
 
@@ -520,11 +520,20 @@ class NarrowBand:
         if not 0 < self.g < 1:
             raise ValueError("g must lie in (0, 1)")
 
+    def factor(self) -> float:
+        return self.l_max * math.sqrt(self.g**3 / 12.0)
+
 
 @dataclass(frozen=True)
 class NoiseSub:
-    """Noise-debiased CLT factor; regime selected by u = alpha0 - gamma."""
+    """Noise-debiased CLT factor; regime selected by u = alpha0 - gamma.
 
+    u < 0 reduces to the noiseless factor, u = 0 carries (1 + g_n/g0)^2,
+    and 0 < u < 1 slows the rate to L^(1-u); u >= 1 is outside the theory
+    and raises UnsupportedRegime.
+    """
+
+    tag: ClassVar[str] = "noise"
     l_max: int
     alpha0: float
     gamma: float
@@ -535,12 +544,33 @@ class NoiseSub:
         if not (self.g0 > 0 and self.g_n > 0):
             raise ValueError("g0 and g_n must be positive")
 
+    def factor(self) -> float:
+        u = self.alpha0 - self.gamma
+        if u < 0:
+            return math.sqrt(2.0) * self.l_max / 4.0
+        if u == 0:
+            return math.sqrt(2.0) * self.l_max / 4.0 * (1.0 + self.g_n / self.g0) ** 2
+        if u < 1:
+            return (
+                self.l_max ** (1.0 - u)
+                * math.sqrt(2.0)
+                / (4.0 * math.sqrt(noise_variance_constant(u)))
+                * (self.g0 / self.g_n)
+            )
+        raise UnsupportedRegime(
+            f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
+        )
+
 
 @dataclass(frozen=True)
 class Rate:
     """Bias-rate factor L / (4 c_L) for the kappa-perturbation check."""
 
+    tag: ClassVar[str] = "rate"
     l_max: int
+
+    def factor(self) -> float:
+        return self.l_max / (4.0 * correction_factor(self.l_max))
 
 
 NormalizationScheme = Union[FullBand, NarrowBand, NoiseSub, Rate]
@@ -559,42 +589,8 @@ def noise_variance_constant(u: float) -> float:
 
 
 def normalization_factor(scheme: NormalizationScheme) -> float:
-    """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit.
-
-    NoiseSub selects among three regimes by u = alpha0 - gamma: u < 0 reduces
-    to the noiseless factor, u = 0 carries (1 + g_n/g0)^2, and 0 < u < 1
-    slows the rate to L^(1-u); u >= 1 is outside the theory and raises
-    UnsupportedRegime.
-    """
-    if isinstance(scheme, FullBand):
-        c = correction_factor(scheme.l_max) if scheme.corrected else 1.0
-        return math.sqrt(2.0) * scheme.l_max / (4.0 * c)
-    if isinstance(scheme, NarrowBand):
-        return scheme.l_max * math.sqrt(scheme.g**3 / 12.0)
-    if isinstance(scheme, NoiseSub):
-        u = scheme.alpha0 - scheme.gamma
-        if u < 0:
-            return math.sqrt(2.0) * scheme.l_max / 4.0
-        if u == 0:
-            return (
-                math.sqrt(2.0)
-                * scheme.l_max
-                / 4.0
-                * (1.0 + scheme.g_n / scheme.g0) ** 2
-            )
-        if u < 1:
-            return (
-                scheme.l_max ** (1.0 - u)
-                * math.sqrt(2.0)
-                / (4.0 * math.sqrt(noise_variance_constant(u)))
-                * (scheme.g0 / scheme.g_n)
-            )
-        raise UnsupportedRegime(
-            f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
-        )
-    if isinstance(scheme, Rate):
-        return scheme.l_max / (4.0 * correction_factor(scheme.l_max))
-    raise TypeError(f"not a normalization scheme: {scheme!r}")
+    """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit."""
+    return scheme.factor()
 
 
 def noise_scheme_from_estimate(

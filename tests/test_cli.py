@@ -1,7 +1,14 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
@@ -230,3 +237,245 @@ class TestExitCodes:
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]
         assert main(argv) == 1
         assert "master_seed" in capsys.readouterr().err
+
+
+# negative between l = 5000 and 6000, past the 4096-multipole construction check
+_LATE_NEGATIVE = {"type": "rational", "p": [1, -11000, 3e7], "q": [1, 1, 1], "alpha0": 3.0}
+
+
+_VALID_CSV = "l,c_hat\n1,2.0\n2,0.25\n3,0.08\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, csv_text",
+    [
+        pytest.param("oracle", {"L": "abc"}, None, id="oracle-L-string"),
+        pytest.param("oracle", {"L_values": [10, "x"]}, None, id="oracle-L_values-string"),
+        pytest.param("oracle", {"c_g": "x"}, None, id="oracle-c_g-string"),
+        pytest.param("oracle", {"L": 1}, None, id="oracle-L-1"),
+        pytest.param("estimate", {}, "l,c_hat\n1,abc\n", id="estimate-csv-string"),
+        pytest.param("estimate", {"L": "x"}, _VALID_CSV, id="estimate-L-string"),
+        pytest.param("estimate", {"band": "full"}, _VALID_CSV, id="estimate-band-string"),
+        pytest.param("mc", mc_config(band="full"), None, id="mc-band-string"),
+        pytest.param(
+            "simulate",
+            {"model": _LATE_NEGATIVE, "L": 5500, "seed": 1},
+            None,
+            id="simulate-rational-past-horizon",
+        ),
+        pytest.param(
+            "mc",
+            mc_config(model=_LATE_NEGATIVE, L=5500, replications=2),
+            None,
+            id="mc-rational-past-horizon",
+        ),
+    ],
+)
+def test_bad_config_exits_one(tmp_path, capsys, subcommand, config, csv_text):
+    if csv_text is not None:
+        (tmp_path / "in.csv").write_text(csv_text)
+        config = dict(config, input=str(tmp_path / "in.csv"))
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# Property test: every config a user can write ends in exit 0, 1 or 2 with
+# no traceback, and a nonzero exit says why on stderr.  Each example is a
+# valid config with up to two entries deleted or replaced by a wrong type,
+# an out-of-range number or a string.  Sizes (L, L_values, replications)
+# stay <= 50 so an example is cheap; a larger size is a valid request for
+# more work, not a fault.
+_SIZES = {"L", "L_values", "replications"}
+_ODD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.fixed_dictionaries({"x": st.integers()}),
+)
+_BAD_SIZE = st.one_of(st.sampled_from([-1, 0, 1, 2.5, math.nan, math.inf, -math.inf]), _ODD)
+_BAD = st.one_of(st.sampled_from([-1.0, 1e-300, 5e-324, 1e300, 1e308, -1e308]), _BAD_SIZE)
+_POS = st.one_of(st.floats(0.1, 10), st.floats(0, 1.7e308, exclude_min=True))
+_ALPHA = st.one_of(st.floats(2.01, 6), st.floats(0, 1e3, exclude_min=True))
+_COEFFS = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.lists(st.floats(0.1, 5), min_size=n, max_size=n)] * 2)
+)
+_MODEL = st.one_of(
+    st.fixed_dictionaries({"type": st.just("power_law"), "g0": _POS, "alpha0": _ALPHA}),
+    st.fixed_dictionaries(
+        {"type": st.just("kappa"), "g0": _POS, "alpha0": _ALPHA, "kappa": st.floats(-0.99, 5)}
+    ),
+    st.builds(
+        lambda pq, alpha0: {"type": "rational", "p": pq[0], "q": pq[1], "alpha0": alpha0},
+        _COEFFS,
+        _ALPHA,
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("table"), "values": st.lists(st.floats(0.01, 10), min_size=1, max_size=60)}
+    ),
+)
+_NOISE = st.one_of(
+    st.none(), st.fixed_dictionaries({"g_n": _POS, "gamma": st.floats(0.5, 6)})
+)
+_L = st.integers(2, 50)
+_BAND = st.one_of(
+    st.just({"type": "full"}),
+    st.fixed_dictionaries({"type": st.just("narrow"), "L1": st.integers(1, 50)}),
+    st.fixed_dictionaries({"type": st.just("narrow"), "c_g": st.floats(0.05, 1)}),
+)
+_BOX = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {
+            "alpha_min": st.floats(0.5, 3),
+            "alpha_max": st.floats(3.5, 12),
+            "tol": st.floats(1e-10, 1e-3),
+        }
+    ),
+)
+_SCHEME = st.fixed_dictionaries(
+    {
+        "type": st.sampled_from(["fullband", "narrowband", "noise", "rate"]),
+        "corrected": st.booleans(),
+    }
+)
+_SEED = st.integers(0, 2**64 - 1)
+
+
+def _slots(node, name):
+    # (container, key, name of the nearest dict key) for every entry
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        field = key if isinstance(node, dict) else name
+        yield node, key, field
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, field)
+
+
+@st.composite
+def _corrupted(draw, valid, keep=frozenset()):
+    config = copy.deepcopy(draw(valid))
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(_slots(config, None))
+        if not slots:
+            break
+        parent, key, name = draw(st.sampled_from(slots))
+        if isinstance(parent, dict) and name not in keep and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_BAD_SIZE if name in _SIZES else _BAD)
+    return config
+
+
+def _run(subcommand: str, config: dict, csv_text: str | None = None) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        if config.get("input") == "<csv>":
+            (work / "in.csv").write_text(csv_text)
+            config = dict(config, input=str(work / "in.csv"))
+        cfg = write_config(work / "cfg.json", config)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([subcommand, "--config", cfg, "--out", str(work / "o")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        assert "error: " in err.getvalue()
+
+
+_FUZZ = settings(max_examples=60, deadline=None)
+
+
+@_FUZZ
+@given(
+    _corrupted(
+        st.fixed_dictionaries(
+            {
+                "model": _MODEL,
+                "noise": _NOISE,
+                "L": _L,
+                "seed": _SEED,
+                "exact": st.booleans(),
+            }
+        )
+    )
+)
+def test_simulate_any_config(config):
+    _run("simulate", config)
+
+
+@_FUZZ
+@given(
+    _corrupted(
+        st.fixed_dictionaries(
+            {
+                "model": _MODEL,
+                "noise": _NOISE,
+                "L": _L,
+                "band": _BAND,
+                "box": _BOX,
+                "scheme": _SCHEME,
+                "replications": st.integers(2, 6),
+                "seed": _SEED,
+            }
+        )
+    )
+)
+def test_mc_any_config(config):
+    _run("mc", config)
+
+
+def _csv(rows) -> str:
+    return "l,c_hat\n" + "".join(f"{a},{b}\n" for a, b in rows)
+
+
+_CSV = st.one_of(
+    # positive or mixed-sign values on rows 1..n
+    st.sampled_from([0.01, -10.0])
+    .flatmap(lambda lo: st.lists(st.floats(lo, 10), min_size=1, max_size=50))
+    .map(lambda v: _csv(enumerate(v, 1))),
+    st.lists(
+        st.tuples(*[st.sampled_from(["1", "2", "abc", "", "nan", "inf", "-1", "0", "1e400"])] * 2),
+        max_size=4,
+    ).map(_csv),
+    st.text(alphabet="lc_hat,0123456789.-\n", max_size=30),
+)
+
+
+@_FUZZ
+@given(
+    _CSV,
+    _corrupted(
+        st.fixed_dictionaries(
+            {"input": st.just("<csv>"), "band": _BAND, "box": _BOX},
+            optional={"L": _L},
+        )
+    ),
+)
+def test_estimate_any_config(csv_text, config):
+    _run("estimate", config, csv_text)
+
+
+@_FUZZ
+@given(
+    _corrupted(
+        st.tuples(
+            # L or L_values is always there: the default grid reaches L = 1e5
+            st.one_of(
+                st.fixed_dictionaries({"L": _L}),
+                st.fixed_dictionaries({"L_values": st.lists(_L, max_size=3)}),
+            ),
+            st.fixed_dictionaries(
+                {
+                    "s_values": st.lists(st.floats(-1.9, 4), max_size=3),
+                    "narrow_s_values": st.lists(st.floats(-1.9, 4), max_size=3),
+                    "c_g": st.floats(0.05, 1),
+                }
+            ),
+        ).map(lambda parts: {**parts[0], **parts[1]}),
+        keep=frozenset({"L", "L_values"}),
+    )
+)
+def test_oracle_any_config(config):
+    _run("oracle", config)

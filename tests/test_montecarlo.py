@@ -144,6 +144,30 @@ class TestExperimentConfig:
         cfg, _ = experiment_from_dict(base_config())
         assert experiment_to_dict(cfg)["band"] == {"type": "full"}
 
+    @pytest.mark.parametrize(
+        "overrides, scheme",
+        [
+            ({}, {"type": "fullband", "corrected": True}),
+            ({"scheme": {"type": "fullband"}}, {"type": "fullband", "corrected": False}),
+            (
+                {"band": {"type": "narrow", "L1": 250}, "scheme": {"type": "narrowband"}},
+                {"type": "narrowband"},
+            ),
+            (
+                {"noise": {"g_n": 1.0, "gamma": 2.5}, "scheme": {"type": "noise"}},
+                {"type": "noise"},
+            ),
+            ({"scheme": {"type": "rate"}}, {"type": "rate"}),
+        ],
+    )
+    def test_experiment_to_dict_key_order(self, overrides, scheme):
+        # string comparisons fix the key order report.json carries
+        cfg, resolved = experiment_from_dict(base_config(**overrides))
+        assert resolved == experiment_to_dict(cfg, resolved["band"])
+        expected = dict(base_config(**overrides), scheme=scheme)
+        assert json.dumps(resolved) == json.dumps(expected)
+        assert json.dumps(experiment_to_dict(cfg)["scheme"]) == json.dumps(scheme)
+
 
 class TestQuantileFrequencies:
     def test_counting_example(self):

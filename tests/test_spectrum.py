@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -46,11 +47,16 @@ class TestSpectrumValue:
             spectrum_values(m, 4)
 
     def test_values_match_scalar(self):
-        m = KappaPerturbed(2.0, 3.0, kappa=1.0)
-        vals = spectrum_values(m, 50)
-        assert vals.shape == (50,)
-        for l in (1, 2, 17, 50):
-            assert vals[l - 1] == pytest.approx(spectrum_value(m, l), rel=1e-15)
+        for m in (
+            ExactPowerLaw(2.0, 3.0),
+            KappaPerturbed(2.0, 3.0, kappa=1.0),
+            Rational(p=(2.0, -1.9, 0.5), q=(1.0, 0.0, 0.1), alpha0=3.0),
+            Tabulated(values=tuple(1.0 / l**2.5 for l in range(1, 51))),
+        ):
+            vals = spectrum_values(m, 50)
+            assert vals.shape == (50,)
+            for l in (1, 2, 17, 50):
+                assert vals[l - 1] == spectrum_value(m, l)
 
     def test_all_values_positive(self):
         for m in (
@@ -118,7 +124,8 @@ class TestNoise:
     def test_vector_matches_scalar(self):
         n = NoiseModel(0.7, 2.2)
         vals = noise_values(n, 30)
-        assert vals[9] == pytest.approx(noise_value(n, 10), rel=1e-15)
+        for l in (1, 2, 10, 30):
+            assert vals[l - 1] == noise_value(n, l)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,20 +171,33 @@ def test_power_law_scaling_property(g0, alpha0, l):
 
 class TestDictRoundTrip:
     @pytest.mark.parametrize(
-        "model",
+        "model, form",
         [
-            ExactPowerLaw(2.0, 3.0),
-            KappaPerturbed(2.0, 3.0, kappa=1.0),
-            Rational(p=(3.0, 6.0, 0.0), q=(1.0, 1.0, 1.0), alpha0=4.0),
-            Tabulated(values=(2.0, 0.25, 2.0 * 3.0**-3.0)),
+            (ExactPowerLaw(2.0, 3.0), {"type": "power_law", "g0": 2.0, "alpha0": 3.0}),
+            (
+                KappaPerturbed(2.0, 3.0, kappa=1.0),
+                {"type": "kappa", "g0": 2.0, "alpha0": 3.0, "kappa": 1.0},
+            ),
+            (
+                Rational(p=(3.0, 6.0, 0.0), q=(1.0, 1.0, 1.0), alpha0=4.0),
+                {"type": "rational", "p": [3.0, 6.0, 0.0], "q": [1.0, 1.0, 1.0], "alpha0": 4.0},
+            ),
+            (
+                Tabulated(values=(2.0, 0.25, 2.0 * 3.0**-3.0)),
+                {"type": "table", "values": [2.0, 0.25, 2.0 * 3.0**-3.0]},
+            ),
         ],
+        ids=["model0", "model1", "model2", "model3"],
     )
-    def test_round_trip(self, model):
+    def test_round_trip(self, model, form):
         assert model_from_dict(model_to_dict(model)) == model
+        # the string comparison also fixes the key order artifacts carry
+        assert json.dumps(model_to_dict(model)) == json.dumps(form)
 
     def test_noise_round_trip(self):
         n = NoiseModel(1.0, 2.5)
         assert noise_from_dict(noise_to_dict(n)) == n
+        assert json.dumps(noise_to_dict(n)) == json.dumps({"g_n": 1.0, "gamma": 2.5})
 
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigError):
