@@ -57,7 +57,7 @@ class NonPositiveValue(NumericalError, ValueError):
 
 
 class NonFiniteValue(NumericalError, ValueError):
-    """Spectrum value that is infinite or NaN."""
+    """Non-finite spectrum value or amplitude Ghat; non-finite or zero factor."""
 
 
 class UnsupportedRegime(NumericalError):

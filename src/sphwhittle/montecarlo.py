@@ -4,11 +4,11 @@ Each replication i of an experiment draws a spectrum with SeedSpec
 (master_seed, i), estimates the index over the configured band, and
 normalizes the error with the configured scheme.  The model spectrum (and
 noise spectrum) is computed once per run; only the chi-square draw is per
-replication.  Replications that error with a non-positive amplitude or stop
-on the search boundary are counted in boundary_hits and excluded from
-moment statistics (a diverging design would otherwise destroy every
-statistic); all replications appear in the per-replication table with a
-status column.
+replication.  Replications whose draw or estimate raises a NumericalError
+(status "error") or that stop on the search boundary are counted in
+boundary_hits and excluded from moment statistics (a diverging design would
+otherwise destroy every statistic); all replications appear in the
+per-replication table with a status column.
 
 Replications run serially in one thread: a thread pool made runs slower,
 because the per-replication work holds the interpreter lock for most of
@@ -31,10 +31,10 @@ from .errors import (
     ConfigError,
     DegenerateSample,
     EmptySample,
-    NonPositiveAmplitude,
+    NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import EmpiricalSpectrum, SeedSpec, _draw_debiased, _draw_empirical
+from .sampling import SeedSpec, _draw_debiased, _draw_empirical
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -225,16 +225,6 @@ def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary
     )
 
 
-def _replicate(cfg: ExperimentConfig, spectrum: EmpiricalSpectrum) -> tuple[float, str]:
-    try:
-        result = estimate(spectrum, cfg.band, cfg.box)
-    except NonPositiveAmplitude:
-        return float("nan"), "error"
-    if result.boundary_hit:
-        return result.alpha_hat, "boundary"
-    return result.alpha_hat, "ok"
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCarloReport:
     """Run all replications and assemble the report.
 
@@ -247,10 +237,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     else:
         c_n = noise_values(cfg.noise, cfg.l_max)
         draw = partial(_draw_debiased, c + c_n, c_n)
-    outcomes = [
-        _replicate(cfg, draw(SeedSpec(cfg.master_seed, i)))
-        for i in range(cfg.replications)
-    ]
+    outcomes = []
+    for i in range(cfg.replications):
+        try:
+            result = estimate(draw(SeedSpec(cfg.master_seed, i)), cfg.band, cfg.box)
+        except NumericalError:
+            outcomes.append((math.nan, "error"))
+            continue
+        outcomes.append((result.alpha_hat, "boundary" if result.boundary_hit else "ok"))
 
     alpha0 = asymptotic_params(cfg.model).alpha0
     factor = normalization_factor(cfg.scheme)

@@ -10,7 +10,10 @@ the band only).  Its minimizer alpha_hat estimates the spectral index and
 g_hat = Ghat(alpha_hat) the amplitude.
 
 The score and curvature are the tilted mean and variance of log l - wbar,
-computed from centered logs rather than as Ghat_1/Ghat - wbar.
+computed from centered logs rather than as Ghat_1/Ghat - wbar.  Every
+band is minimized by one safeguarded Newton-bisection root of the score:
+the minimizer over the box where R is convex (positive values), else the
+local minimizer reached from the box midpoint (a debiased spectrum).
 
 Normalization factors scale (alpha_hat - alpha0) so the limit law is N(0,1):
 full band sqrt(2) L / (4 c), narrow band L sqrt(g^3 / 12), and the
@@ -31,6 +34,7 @@ import numpy as np
 from .errors import (
     BandTooNarrow,
     DegenerateBand,
+    NonFiniteValue,
     NonPositiveAmplitude,
     NonPositiveValue,
     UnsupportedRegime,
@@ -61,7 +65,6 @@ __all__ = [
     "debiased_variance_ratio",
 ]
 
-_GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 _MAX_EVALS = 200
 # a Newton step this small leaves the next iterate within roundoff of the root
 _NEWTON_STOP = 1e-7
@@ -110,9 +113,11 @@ class EstimateResult:
     """Minimizer output; g_hat is Ghat evaluated from the data at alpha_hat.
 
     evaluations counts the passes over the band that located alpha_hat
-    (evaluations of Ghat or of its moments); it is always >= 1.  converged means the
-    stopping rule was met before the iteration cap; an estimate on a box
-    edge can be converged, and boundary_hit flags it.
+    (evaluations of Ghat or of its moments), always >= 1; on a band holding
+    a value <= 0 it includes the three checks of Ghat at the box edges and
+    the midpoint.  converged means the stopping rule was met before the
+    iteration cap; an estimate on a box edge can be converged, and
+    boundary_hit flags it.
     """
 
     alpha_hat: float
@@ -192,6 +197,14 @@ def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     )
 
 
+def _check_amplitude(g: float, alpha: float) -> float:
+    if not g > 0:
+        raise NonPositiveAmplitude(f"Ghat({alpha}) = {g} <= 0")
+    if not math.isfinite(g):
+        raise NonFiniteValue(f"Ghat({alpha}) = {g} is not finite")
+    return g
+
+
 class _BandData:
     """Per-(spectrum, band) data; the band arrays are cached per band."""
 
@@ -218,12 +231,10 @@ class _BandData:
         return g0 / self.w_sum, g1 / self.w_sum, g2 / self.w_sum
 
     def centered_moments(self, alpha: float) -> tuple[float, float, float]:
-        """(Ghat, score, curvature) at alpha; NonPositiveAmplitude if Ghat <= 0."""
+        """(Ghat, score, curvature) at alpha, with Ghat checked finite and > 0."""
         tilt = self.wc * np.exp(alpha * self.log_l)
         g0 = float(tilt.sum())
-        g = g0 / self.w_sum
-        if not g > 0:
-            raise NonPositiveAmplitude(f"Ghat({alpha}) = {g} <= 0")
+        g = _check_amplitude(g0 / self.w_sum, alpha)
         s = float(np.dot(tilt, self.arrays.log_c)) / g0
         q = float(np.dot(tilt, self.arrays.log_c2)) / g0 - s * s
         return g, s, q
@@ -251,10 +262,7 @@ def objective(
 ) -> float:
     """Concentrated objective R(alpha) = log Ghat(alpha) - alpha * wbar."""
     data = _BandData(spectrum, _band_or_full(spectrum, band))
-    g = data.ghat(alpha)
-    if g <= 0:
-        raise NonPositiveAmplitude(f"Ghat({alpha}) = {g} <= 0")
-    return math.log(g) - alpha * data.wbar
+    return math.log(_check_amplitude(data.ghat(alpha), alpha)) - alpha * data.wbar
 
 
 def joint_objective(
@@ -287,140 +295,41 @@ def curvature(
     return data.centered_moments(alpha)[2]
 
 
-def _brent(f, a: float, b: float, tol: float, budget) -> tuple[float, float, bool]:
-    """Bounded golden-section search with parabolic acceleration.
-
-    Returns (x, f(x), converged); never evaluates outside [a, b].
-    """
-    x = w = v = a + _GOLD * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while budget():
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx, True
-        golden = True
-        if abs(e) > tol:
-            # parabola through (v, fv), (w, fw), (x, fx)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if not (abs(p) >= abs(0.5 * q * e_prev) or p <= q * (a - x) or p >= q * (b - x)):
-                d = p / q
-                u = x + d
-                if (u - a) < 2.0 * tol or (b - u) < 2.0 * tol:
-                    d = tol if x < m else -tol
-                golden = False
-        if golden:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLD * e
-        u = x + d if abs(d) >= tol else x + (tol if d > 0 else -tol)
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw = w, fw, x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx, False
-
-
-def _brent_search(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
-    """Brent search plus score polish, for bands that may hold values <= 0.
-
-    Golden-section with parabolic acceleration localizes the minimum to tol;
-    away from the boundary, up to two Newton steps on the score then refine
-    the minimizer below the function-comparison roundoff floor (short bands
-    need this to certify tight tolerances on alpha_hat and g_hat).
-    Boundary minima are snapped to the box edge.  Returns (alpha, Ghat(alpha),
-    evaluations, converged).
-    """
-    a1, a2, tol = box.alpha_min, box.alpha_max, box.tol
-    evals = 0
-
-    def budget() -> bool:
-        # reserve 3 evaluations for the boundary snap and score polish
-        return evals < _MAX_EVALS - 3
-
-    def f(alpha: float) -> float:
-        nonlocal evals
-        evals += 1
-        g = data.ghat(alpha)
-        if g <= 0:
-            raise NonPositiveAmplitude(f"Ghat({alpha}) = {g} <= 0")
-        return math.log(g) - alpha * data.wbar
-
-    # amplitude precheck at the endpoints and midpoint; the search itself
-    # re-raises lazily on any later probe
-    f(a1)
-    f(0.5 * (a1 + a2))
-    f(a2)
-    x, fx, converged = _brent(f, a1, a2, tol, budget)
-
-    # the closed box may have its minimum at an edge Brent cannot reach
-    for edge in (a1, a2):
-        if abs(x - edge) < 5.0 * tol:
-            f_edge = f(edge)
-            if f_edge <= fx:
-                x, fx = edge, f_edge
-            break
-
-    if not ((x - a1) < tol or (a2 - x) < tol):
-        for _ in range(2):
-            if not budget():
-                break
-            evals += 1
-            _, s, q = data.centered_moments(x)
-            if q <= 0:
-                break
-            x = min(max(x - s / q, a1), a2)
-
-    g_hat = data.ghat(x)
-    if g_hat <= 0:
-        raise NonPositiveAmplitude(f"Ghat({x}) = {g_hat} <= 0")
-    return x, g_hat, evals, converged
-
-
 def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
-    """Root of the score by safeguarded Newton-bisection, for positive bands.
+    """Root of the score by safeguarded Newton-bisection.
 
     With positive values R is a log-sum-exp of affine functions of alpha,
     so it is convex and its score increases: the minimizer over the box is
     the score's root, or the edge at which the score keeps its sign.  The
-    start is the weighted-OLS slope of log Chat_l on log l, clipped into the
-    box.  As in rtsafe (Numerical Recipes 9.4), a Newton step is taken only
-    when it stays inside the bracket and at most halves the step before the
-    last; otherwise the bracket is bisected.  A box edge is evaluated only
-    when a Newton step tries to leave the box through it.  The search stops
-    at the first point reached by a step of at most _NEWTON_STOP, which
-    quadratic convergence puts within roundoff of the root.  Returns (alpha,
-    Ghat(alpha), moment evaluations, converged).
+    start is then the weighted-OLS slope of log Chat_l on log l, clipped
+    into the box.  A band holding a value <= 0 starts at the midpoint after
+    checking Ghat at both edges and there, and where the curvature is <= 0
+    its Newton step points at the box edge on the descent side.  As in
+    rtsafe (Numerical Recipes 9.4), a Newton step is taken only when it
+    stays inside the bracket and at most halves the step before the last;
+    otherwise the bracket is bisected.  A box edge is evaluated only when a
+    Newton step tries to leave the box through it.  The search stops at the
+    first point reached by a step of at most _NEWTON_STOP, which quadratic
+    convergence puts within roundoff of the root.  Returns (alpha,
+    Ghat(alpha), passes over the band, converged).
     """
     a1, a2 = box.alpha_min, box.alpha_max
-    arrays = data.arrays
-    slope = float(np.dot(arrays.ols_weights, np.log(data.values))) / arrays.ols_den
-    x = min(max(-slope, a1), a2)
+    positive = bool((data.values > 0).all())
+    if positive:
+        arrays = data.arrays
+        slope = float(np.dot(arrays.ols_weights, np.log(data.values))) / arrays.ols_den
+        x = min(max(-slope, a1), a2)
+        evals = 0
+    else:
+        x = 0.5 * (a1 + a2)
+        for alpha in (a1, x, a2):
+            _check_amplitude(data.ghat(alpha), alpha)
+        evals = 3
     # the score is negative at lo and positive at hi once they are known;
     # until then they are the box edges
     lo, hi = a1, a2
     lo_known = hi_known = False
     dx = dx_old = a2 - a1
-    evals = 0
     while evals < _MAX_EVALS:
         evals += 1
         g0, s, q = data.centered_moments(x)
@@ -432,7 +341,13 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
             if x == a2:
                 return x, g0, evals, True
             lo, lo_known = x, True
-        newton = x - s / q if q > 0 else math.nan
+        if q > 0:
+            newton = x - s / q
+        elif positive:
+            # q <= 0 only by roundoff where R is convex: bisect
+            newton = math.nan
+        else:
+            newton = math.inf if s < 0 else -math.inf
         # newton == x: the step is below the resolution of x
         if s == 0 or newton == x or abs(dx) <= _NEWTON_STOP:
             return x, g0, evals, True
@@ -457,16 +372,18 @@ def estimate(
 ) -> EstimateResult:
     """Minimize the concentrated objective over the box.
 
-    When every spectrum value in the band is positive the objective is
-    convex and its minimizer is found as the root of the score
-    (safeguarded Newton-bisection from a weighted-OLS start).  Otherwise
-    (debiased spectra) a Brent search with a score polish runs; it prechecks
-    the amplitude at the endpoints and the midpoint.  An estimate within tol
-    of a box edge is flagged as a boundary hit.
+    The minimizer is the root of the score, found by safeguarded
+    Newton-bisection.  When every spectrum value in the band is positive
+    the objective is convex, the search starts from a weighted-OLS fit, and
+    the result is the minimizer over the box.  A band holding a value <= 0
+    (a debiased spectrum) first has Ghat checked at both box edges and the
+    midpoint; the search starts at the midpoint and returns the local
+    minimizer reached from there, which need not be the global one.  An
+    estimate within tol of a box edge is flagged as a boundary hit.
 
     Raises NonPositiveAmplitude the first time any probed alpha gives
-    Ghat(alpha) <= 0, and DegenerateBand for bands of fewer than 2
-    multipoles.
+    Ghat(alpha) <= 0, NonFiniteValue when Ghat(alpha) is not finite, and
+    DegenerateBand for bands of fewer than 2 multipoles.
     """
     band = _band_or_full(spectrum, band)
     if box is None:
@@ -474,8 +391,7 @@ def estimate(
     if band.width < 2:
         raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
     data = _BandData(spectrum, band)
-    minimize = _score_root if (data.values > 0).all() else _brent_search
-    x, g_hat, evals, converged = minimize(data, box)
+    x, g_hat, evals, converged = _score_root(data, box)
     return EstimateResult(
         alpha_hat=float(x),
         g_hat=float(g_hat),
@@ -589,8 +505,18 @@ def noise_variance_constant(u: float) -> float:
 
 
 def normalization_factor(scheme: NormalizationScheme) -> float:
-    """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit."""
-    return scheme.factor()
+    """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit.
+
+    Raises NonFiniteValue when the scheme's factor overflows or is not a
+    finite number > 0.
+    """
+    try:
+        factor = scheme.factor()
+    except OverflowError as exc:
+        raise NonFiniteValue(f"normalization factor of {scheme} overflows") from exc
+    if not (math.isfinite(factor) and factor > 0):
+        raise NonFiniteValue(f"normalization factor of {scheme} is {factor}")
+    return factor
 
 
 def noise_scheme_from_estimate(

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
@@ -421,6 +421,17 @@ def test_simulate_any_config(config):
             }
         )
     )
+)
+@example(
+    # (1 + g_n/g0)^2 overflows in the noise scheme's factor
+    {
+        "model": {"type": "power_law", "g0": 2.2692664517883865e-226, "alpha0": 1.0},
+        "noise": {"g_n": 1.0, "gamma": 1.0},
+        "L": 2,
+        "scheme": {"type": "noise"},
+        "replications": 2,
+        "seed": 0,
+    }
 )
 def test_mc_any_config(config):
     _run("mc", config)

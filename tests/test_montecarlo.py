@@ -316,6 +316,22 @@ class TestRunExperiment:
         assert set(report.statuses) <= {"ok", "boundary", "error"}
         assert len(report.statuses) == cfg.replications
 
+    def test_numerical_errors_are_replication_errors(self):
+        # Ghat overflows on some draws: NonFiniteValue ends those
+        # replications, not the run
+        cfg, _ = experiment_from_dict(
+            base_config(
+                model={"type": "power_law", "g0": 6e304, "alpha0": 3.0},
+                L=50,
+                replications=50,
+                seed=0,
+            )
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(cfg)
+        assert 0 < report.statuses.count("error") < cfg.replications
+        assert np.isnan(report.all_alpha_hats[[s == "error" for s in report.statuses]]).all()
+
     def test_all_replications_failed(self):
         # the objective strictly increases on [8, 10] for these draws, so
         # every replication stops on the lower box edge

@@ -14,6 +14,7 @@ from sphwhittle import (
     NarrowBand,
     NoiseModel,
     NoiseSub,
+    NonFiniteValue,
     NonPositiveAmplitude,
     Rate,
     SearchBox,
@@ -39,6 +40,12 @@ from sphwhittle import (
 from sphwhittle.errors import BandTooNarrow
 
 MODEL = ExactPowerLaw(2.0, 3.0)
+
+
+def mc_noise_spectrum(rep: int) -> EmpiricalSpectrum:
+    # one debiased draw of the mc-noise benchmark design (u = 0.8)
+    model, noise = ExactPowerLaw(1.0, 3.0), NoiseModel(1.0, 2.2)
+    return sample_observed_debiased(model, noise, 2000, SeedSpec(42, rep))
 
 
 def exact_spectrum(g0: float, alpha0: float, l_max: int) -> EmpiricalSpectrum:
@@ -308,6 +315,48 @@ class TestEstimate:
                 assert result.converged
                 assert 1 <= result.evaluations <= 8
 
+    @pytest.mark.parametrize(
+        "rep, alpha_ref",
+        [
+            # alpha_hat of the Brent search plus score polish, which ran on
+            # every band holding a value <= 0 before the score root did
+            (0, 2.5135060563919756),
+            # an interior local minimum although R(alpha_max) is lower
+            (17, 5.094229125017777),
+        ],
+    )
+    def test_debiased_bands_match_search_reference(self, rep, alpha_ref):
+        result = estimate(mc_noise_spectrum(rep), full_band(2000), SearchBox())
+        assert result.converged
+        assert not result.boundary_hit
+        assert abs(result.alpha_hat - alpha_ref) <= 1e-12
+
+    def test_debiased_band_upper_edge(self):
+        result = estimate(mc_noise_spectrum(111), full_band(2000), SearchBox())
+        assert result.boundary_hit
+        assert result.converged
+        assert result.alpha_hat == 10.0
+
+    def test_debiased_band_nonpositive_amplitude(self):
+        with pytest.raises(NonPositiveAmplitude):
+            estimate(mc_noise_spectrum(40), full_band(2000), SearchBox())
+
+    def test_debiased_band_evaluations(self):
+        for rep in [*range(20), 111]:
+            result = estimate(mc_noise_spectrum(rep), full_band(2000), SearchBox())
+            assert 4 <= result.evaluations <= 16
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_nonfinite_amplitude_raised(self, negative):
+        # l^alpha C_l overflows; the negative entry sends the search through
+        # the amplitude checks at the box edges and midpoint
+        values = np.full(50, 1e307)
+        if negative:
+            values[0] = -1.0
+        spec = EmpiricalSpectrum(values, debiased=negative)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+            estimate(spec)
+
     def test_noise_dominated_hits_upper_boundary(self):
         # gamma < alpha0 - 1: the debiased objective favors the box edge
         noise = NoiseModel(1.0, 1.0)
@@ -425,6 +474,19 @@ class TestNormalizationFactor:
     def test_noise_regime_unsupported(self):
         scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=1.0, g0=2.0, g_n=1.0)
         with pytest.raises(UnsupportedRegime):
+            normalization_factor(scheme)
+
+    @pytest.mark.parametrize(
+        "gamma, g0, g_n",
+        [
+            (3.0, 1e-200, 1.0),  # (1 + g_n/g0)^2 raises OverflowError
+            (2.5, 1e300, 1e-300),  # g0/g_n is inf
+            (2.5, 1e-320, 1e10),  # g0/g_n underflows to 0
+        ],
+    )
+    def test_noise_factor_out_of_range(self, gamma, g0, g_n):
+        scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=gamma, g0=g0, g_n=g_n)
+        with pytest.raises(NonFiniteValue):
             normalization_factor(scheme)
 
     def test_all_factors_positive(self):
