@@ -4,189 +4,22 @@ Spectrum models, chi-square sampling of empirical angular power spectra,
 the concentrated Whittle estimator with CLT normalizations, closed-form
 asymptotic constants, and a seeded Monte Carlo engine with a batch CLI.
 """
-from .errors import (
-    AllReplicationsFailed,
-    BandTooNarrow,
-    ConfigError,
-    DegenerateBand,
-    DegenerateSample,
-    EmptySample,
-    NonFiniteValue,
-    NonPositiveAmplitude,
-    NonPositiveValue,
-    NumericalError,
-    OutOfRange,
-    SampleSizeOutOfRange,
-    SingularExponent,
-    SphwhittleError,
-    Unsupported,
-    UnsupportedRegime,
-)
-from .spectrum import (
-    AsymptoticParams,
-    ExactPowerLaw,
-    KappaPerturbed,
-    NoiseModel,
-    Rational,
-    SpectrumModel,
-    Tabulated,
-    asymptotic_params,
-    model_from_dict,
-    model_to_dict,
-    noise_from_dict,
-    noise_to_dict,
-    noise_value,
-    noise_values,
-    spectrum_value,
-    spectrum_values,
-)
-from .sampling import (
-    EmpiricalSpectrum,
-    HarmonicCoefficients,
-    SeedSpec,
-    empirical_from_alm,
-    generator,
-    read_spectrum_csv,
-    sample_alm,
-    sample_empirical,
-    sample_observed_debiased,
-    write_spectrum_csv,
-)
-from .whittle import (
-    Band,
-    EstimateResult,
-    FullBand,
-    NarrowBand,
-    NoiseSub,
-    NormalizationScheme,
-    Rate,
-    SearchBox,
-    correction_factor,
-    curvature,
-    debiased_variance_ratio,
-    estimate,
-    full_band,
-    g_hat_k,
-    joint_objective,
-    narrow_band,
-    noise_scheme_from_estimate,
-    noise_variance_constant,
-    normalization_factor,
-    objective,
-    score,
-)
-from .asymptotics import (
-    k_factor,
-    power_log_integral,
-    u_limit,
-    z_fullband,
-    z_limit_fullband,
-    z_narrowband,
-)
-from .montecarlo import (
-    DEFAULT_CUTPOINTS,
-    ExperimentConfig,
-    MonteCarloReport,
-    QuantileRow,
-    Summary,
-    band_from_dict,
-    box_from_dict,
-    experiment_from_dict,
-    experiment_to_dict,
-    quantile_frequencies,
-    report_to_dict,
-    run_experiment,
-    shapiro_wilk,
-    summarize,
-    write_report_files,
-)
+from . import asymptotics, errors, montecarlo, sampling, spectrum, whittle
+from .errors import *  # noqa: F403 -- each module's __all__ is its public API
+from .spectrum import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .whittle import *  # noqa: F403
+from .asymptotics import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SphwhittleError",
-    "ConfigError",
-    "OutOfRange",
-    "Unsupported",
-    "DegenerateBand",
-    "BandTooNarrow",
-    "SampleSizeOutOfRange",
-    "EmptySample",
-    "SingularExponent",
-    "NumericalError",
-    "NonFiniteValue",
-    "NonPositiveAmplitude",
-    "NonPositiveValue",
-    "UnsupportedRegime",
-    "DegenerateSample",
-    "AllReplicationsFailed",
-    "ExactPowerLaw",
-    "KappaPerturbed",
-    "Rational",
-    "Tabulated",
-    "SpectrumModel",
-    "NoiseModel",
-    "AsymptoticParams",
-    "spectrum_value",
-    "spectrum_values",
-    "noise_value",
-    "noise_values",
-    "asymptotic_params",
-    "model_from_dict",
-    "model_to_dict",
-    "noise_from_dict",
-    "noise_to_dict",
-    "EmpiricalSpectrum",
-    "HarmonicCoefficients",
-    "SeedSpec",
-    "generator",
-    "sample_empirical",
-    "sample_alm",
-    "empirical_from_alm",
-    "sample_observed_debiased",
-    "write_spectrum_csv",
-    "read_spectrum_csv",
-    "Band",
-    "SearchBox",
-    "EstimateResult",
-    "FullBand",
-    "NarrowBand",
-    "NoiseSub",
-    "Rate",
-    "NormalizationScheme",
-    "full_band",
-    "narrow_band",
-    "g_hat_k",
-    "objective",
-    "joint_objective",
-    "score",
-    "curvature",
-    "estimate",
-    "correction_factor",
-    "normalization_factor",
-    "noise_variance_constant",
-    "noise_scheme_from_estimate",
-    "debiased_variance_ratio",
-    "power_log_integral",
-    "z_fullband",
-    "z_narrowband",
-    "k_factor",
-    "u_limit",
-    "z_limit_fullband",
-    "ExperimentConfig",
-    "MonteCarloReport",
-    "QuantileRow",
-    "Summary",
-    "run_experiment",
-    "quantile_frequencies",
-    "shapiro_wilk",
-    "summarize",
-    "experiment_from_dict",
-    "experiment_to_dict",
-    "band_from_dict",
-    "box_from_dict",
-    "report_to_dict",
-    "write_report_files",
-    "DEFAULT_CUTPOINTS",
+    *errors.__all__,
+    *spectrum.__all__,
+    *sampling.__all__,
+    *whittle.__all__,
+    *asymptotics.__all__,
+    *montecarlo.__all__,
     "__version__",
 ]

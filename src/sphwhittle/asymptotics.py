@@ -55,6 +55,8 @@ def power_log_integral(l_lo: float, l_hi: float, s: float, k: int) -> float:
 def _z_sum(l_lo: int, l_hi: int, s: float) -> float:
     # Z = A0 A2 - A1^2 with A_k = sum (2l+1) l^s log^k l, computed in the
     # algebraically identical centered form A0 * sum w (log l - wbar)^2
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     l = np.arange(l_lo, l_hi + 1, dtype=float)
     w = (2.0 * l + 1.0) * np.exp(s * np.log(l))
     lg = np.log(l)

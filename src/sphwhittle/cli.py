@@ -1,9 +1,11 @@
 """Batch front-end: simulate / estimate / mc / oracle.
 
 Artifacts are deterministic: JSON and CSV floats use shortest round-trip
-decimals and line endings are "\\n".  --threads is deprecated and ignored:
-Monte Carlo replications run serially.  Exit codes: 0 success, 1 config
-error, 2 numerical failure.
+decimals and line endings are "\\n", and they do not depend on --threads.
+mc runs its replications on up to --threads worker threads (default and
+most: one per usable CPU) when L >= 10000, where they overlap in numpy; at
+lower L thread hand-offs cost more than they win, so it runs them serially.  Exit
+codes: 0 success, 1 config error, 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .sampling import (
     sample_observed_debiased,
     write_spectrum_csv,
 )
-from .spectrum import model_from_dict, noise_from_dict, spectrum_values
+from .spectrum import check_l_max, model_from_dict, noise_from_dict, spectrum_values
 from .whittle import estimate
 
 __all__ = ["main"]
@@ -51,6 +53,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sphwhittle", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -66,9 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_positive_int,
             default=None,
-            help="deprecated and ignored; mc runs its replications serially",
+            help="most worker threads for mc at L >= 10000 (default and most: one "
+            "per usable CPU); smaller runs are serial; artifacts do not depend on it",
         )
     return parser
 
@@ -129,8 +138,7 @@ def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
         model = model_from_dict(config["model"])
         noise = noise_from_dict(config["noise"]) if config.get("noise") else None
         l_max = int(config["L"])
-        if l_max < 1:
-            raise ValueError(f"L must be >= 1, got {l_max}")
+        check_l_max(l_max)
         exact = bool(config.get("exact", False))
         if not exact:
             seed = SeedSpec(_require_seed(config, seed_override), 0)
@@ -181,11 +189,11 @@ def _cmd_estimate(config: dict, out: Path) -> None:
     )
 
 
-def _cmd_mc(config: dict, out: Path, seed_override: int | None) -> None:
+def _cmd_mc(config: dict, out: Path, seed_override: int | None, threads: int | None) -> None:
     if seed_override is not None:
         config = dict(config, seed=seed_override)
     cfg, resolved = experiment_from_dict(config)
-    write_report_files(run_experiment(cfg), resolved, out)
+    write_report_files(run_experiment(cfg, threads), resolved, out)
 
 
 def _cmd_oracle(config: dict, out: Path) -> None:
@@ -197,6 +205,8 @@ def _cmd_oracle(config: dict, out: Path) -> None:
             l_values = [int(config["L"])]
         else:
             l_values = [int(v) for v in config.get("L_values", _ORACLE_L_VALUES)]
+        for l_max in l_values:
+            check_l_max(l_max)
         s_full = [float(v) for v in config.get("s_values", _ORACLE_S_FULL)]
         s_narrow = [float(v) for v in config.get("narrow_s_values", _ORACLE_S_NARROW)]
         c_g = float(config.get("c_g", 1.0))
@@ -242,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.subcommand == "estimate":
             _cmd_estimate(config, out)
         elif args.subcommand == "mc":
-            _cmd_mc(config, out, args.seed)
+            _cmd_mc(config, out, args.seed, args.threads)
         else:
             _cmd_oracle(config, out)
     except NumericalError as exc:

@@ -7,6 +7,25 @@ The spectrum-value errors are also ValueErrors (bad EmpiricalSpectrum input).
 """
 from __future__ import annotations
 
+__all__ = [
+    "SphwhittleError",
+    "ConfigError",
+    "OutOfRange",
+    "Unsupported",
+    "DegenerateBand",
+    "BandTooNarrow",
+    "SampleSizeOutOfRange",
+    "EmptySample",
+    "SingularExponent",
+    "NumericalError",
+    "NonFiniteValue",
+    "NonPositiveAmplitude",
+    "NonPositiveValue",
+    "UnsupportedRegime",
+    "DegenerateSample",
+    "AllReplicationsFailed",
+]
+
 
 class SphwhittleError(Exception):
     """Base class for all package errors."""

@@ -10,15 +10,21 @@ boundary_hits and excluded from moment statistics (a diverging design would
 otherwise destroy every statistic); all replications appear in the
 per-replication table with a status column.
 
-Replications run serially in one thread: a thread pool made runs slower,
-because the per-replication work holds the interpreter lock for most of
-its time.  Reports are pure functions of the config.
+At high L (l_max >= _POOL_MIN_L, 10000) replications run on a thread
+pool, one contiguous range of indices per thread: there numpy spends most
+of a replication in the chi-square draw and band-length passes, which
+release the interpreter lock.  At lower L they run serially, since thread
+hand-offs then cost more than the overlap wins.  The band reductions do not
+call BLAS, and each replication has its own stream, so reports are pure
+functions of the config for any thread count and BLAS build.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -39,6 +45,7 @@ from .spectrum import (
     NoiseModel,
     SpectrumModel,
     asymptotic_params,
+    check_l_max,
     model_from_dict,
     model_to_dict,
     noise_from_dict,
@@ -83,6 +90,15 @@ DEFAULT_CUTPOINTS = (-1.96, -1.0, -0.68, 0.0, 0.68, 1.0, 1.96)
 
 _SW_MAX_N = 5000
 
+# Replications run on threads from this L up.  A run_experiment sweep on a
+# 2-vCPU VM (replications per second, serial -> 2 threads, median of 5
+# alternated runs; the mc-large design, and mc-noise's debiased one) found
+# the pool losing at L = 2000 (positive 3889 -> 2790, debiased 2881 -> 1922)
+# to interpreter-lock hand-offs, mixed at 5000 (2200 -> 2584, 1733 -> 1628)
+# and winning from 10000 (1303 -> 2234, 872 -> 1248) to 20000 (893 -> 1321,
+# 500 -> 869).
+_POOL_MIN_L = 10_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,8 +114,7 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
+        check_l_max(self.l_max)
         if self.replications < 2:
             raise ValueError("replications must be >= 2")
         if self.band.l_hi > self.l_max:
@@ -228,23 +243,45 @@ def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCarloReport:
     """Run all replications and assemble the report.
 
-    threads is accepted and ignored (deprecated): replications run
-    serially, so the report depends on the config alone.
+    threads caps the worker threads, which never outnumber the CPUs this
+    process may use (the default) or the replications.  Runs with l_max >=
+    _POOL_MIN_L split the replications into that many contiguous ranges,
+    one per thread, since numpy releases the interpreter lock in the draw
+    and the band passes; smaller runs are serial, where thread hand-offs
+    cost more than they win.  Replication i draws from its own stream
+    SeedSpec(master_seed, i), so the report does not depend on threads.
     """
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     c = spectrum_values(cfg.model, cfg.l_max)
     if cfg.noise is None:
         draw = partial(_draw_empirical, c)
     else:
-        c_n = noise_values(cfg.noise, cfg.l_max)
-        draw = partial(_draw_debiased, c + c_n, c_n)
-    outcomes = []
-    for i in range(cfg.replications):
-        try:
-            result = estimate(draw(SeedSpec(cfg.master_seed, i)), cfg.band, cfg.box)
-        except NumericalError:
-            outcomes.append((math.nan, "error"))
-            continue
-        outcomes.append((result.alpha_hat, "boundary" if result.boundary_hit else "ok"))
+        draw = partial(_draw_debiased, c, noise_values(cfg.noise, cfg.l_max))
+
+    def replicate(indices: range) -> list[tuple[float, str]]:
+        outcomes = []
+        for i in indices:
+            try:
+                result = estimate(draw(SeedSpec(cfg.master_seed, i)), cfg.band, cfg.box)
+            except NumericalError:
+                outcomes.append((math.nan, "error"))
+                continue
+            outcomes.append((result.alpha_hat, "boundary" if result.boundary_hit else "ok"))
+        return outcomes
+
+    # the CPUs this process may use, where the platform says; more threads
+    # than that would only add hand-offs
+    has_mask = hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
+    n = min(threads or cpus, cpus, cfg.replications)
+    if cfg.l_max >= _POOL_MIN_L and n > 1:
+        cuts = [cfg.replications * k // n for k in range(n + 1)]
+        with ThreadPoolExecutor(n) as pool:
+            parts = pool.map(replicate, map(range, cuts[:-1], cuts[1:]))
+            outcomes = [outcome for part in parts for outcome in part]
+    else:
+        outcomes = replicate(range(cfg.replications))
 
     alpha0 = asymptotic_params(cfg.model).alpha0
     factor = normalization_factor(cfg.scheme)

@@ -53,7 +53,8 @@ class EmpiricalSpectrum:
             raise ValueError("values must be a nonempty 1-D array")
         if not np.isfinite(values).all():
             raise NonFiniteValue("values must be finite")
-        if not self.debiased and not (values > 0).all():
+        # min builds no temporary array (values are finite here)
+        if not self.debiased and not values.min() > 0:
             raise NonPositiveValue("non-debiased spectrum values must be positive")
         values = values.copy()
         values.setflags(write=False)
@@ -134,8 +135,11 @@ def _chisq_ratios(l_max: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_empirical(c: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
-    # sample_empirical for precomputed model values c = C_1..C_L
-    return EmpiricalSpectrum(values=c * _chisq_ratios(c.size, generator(seed)))
+    # sample_empirical for precomputed model values c = C_1..C_L; a value
+    # that overflows is inf, which EmpiricalSpectrum reports as NonFiniteValue
+    with np.errstate(over="ignore"):
+        values = c * _chisq_ratios(c.size, generator(seed))
+    return EmpiricalSpectrum(values=values)
 
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
@@ -164,10 +168,12 @@ def empirical_from_alm(coeffs: HarmonicCoefficients) -> EmpiricalSpectrum:
     return EmpiricalSpectrum(values=sums / (2 * l + 1))
 
 
-def _draw_debiased(total: np.ndarray, c_n: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
-    # sample_observed_debiased for precomputed total = C_T + C_N and C_N
-    ratios = _chisq_ratios(total.size, generator(seed))
-    return EmpiricalSpectrum(values=total * ratios - c_n, debiased=True)
+def _draw_debiased(c_t: np.ndarray, c_n: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
+    # sample_observed_debiased for precomputed C_T and C_N, overflow as above
+    ratios = _chisq_ratios(c_t.size, generator(seed))
+    with np.errstate(over="ignore"):
+        values = (c_t + c_n) * ratios - c_n
+    return EmpiricalSpectrum(values=values, debiased=True)
 
 
 def sample_observed_debiased(
@@ -178,9 +184,7 @@ def sample_observed_debiased(
     Negative values are retained: they signal multipoles where the noise
     dominates and are meaningful to the estimator's failure diagnostics.
     """
-    c_t = spectrum_values(model, l_max)
-    c_n = noise_values(noise, l_max)
-    return _draw_debiased(c_t + c_n, c_n, seed)
+    return _draw_debiased(spectrum_values(model, l_max), noise_values(noise, l_max), seed)
 
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:

@@ -40,6 +40,10 @@ __all__ = [
     "noise_to_dict",
 ]
 
+# A run holds several float arrays of L entries (0.8 GB each at this bound);
+# a larger L would end in a memory or size error from np.arange
+MAX_L = 10**8
+
 # construction-time positivity horizon for Rational; evaluators re-check
 # every requested range, so this only needs to catch obvious sign changes
 _RATIONAL_CHECK_LMAX = 4096
@@ -199,21 +203,30 @@ class NoiseModel:
 
 
 def _evaluate(model: SpectrumModel | NoiseModel, l: np.ndarray) -> np.ndarray:
-    c = model.values_at(l)
-    # a value that under- or overflows a float is outside the model's range
-    if not ((c > 0) & (c < np.inf)).all():
+    # a value that under- or overflows a float (or is nan) is outside the
+    # model's range: the check below reports it, so numpy need not warn
+    with np.errstate(all="ignore"):
+        c = model.values_at(l)
+    # min and max propagate nan, which fails both comparisons
+    if not (c.min() > 0 and c.max() < np.inf):
         raise OutOfRange(f"C_l is not a positive finite float for some l <= {int(l[-1])}")
     return c
+
+
+def check_l_max(l_max: int) -> None:
+    """Raise ValueError unless 1 <= l_max <= MAX_L; allocates nothing."""
+    if not 1 <= l_max <= MAX_L:
+        raise ValueError(f"L must be >= 1 and <= {MAX_L}, got {l_max}")
 
 
 def spectrum_values(model: SpectrumModel, l_max: int) -> np.ndarray:
     """Return C_l for l = 1..l_max as a float array.
 
     Raises OutOfRange if a Tabulated model is shorter than l_max, or if some
-    C_l is not a positive finite float.
+    C_l is not a positive finite float, and ValueError unless 1 <= l_max <=
+    MAX_L.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
+    check_l_max(l_max)
     return _evaluate(model, np.arange(1, l_max + 1, dtype=float))
 
 

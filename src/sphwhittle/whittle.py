@@ -36,7 +36,6 @@ from .errors import (
     DegenerateBand,
     NonFiniteValue,
     NonPositiveAmplitude,
-    NonPositiveValue,
     UnsupportedRegime,
 )
 from .sampling import EmpiricalSpectrum
@@ -52,9 +51,7 @@ __all__ = [
     "NormalizationScheme",
     "full_band",
     "narrow_band",
-    "g_hat_k",
     "objective",
-    "joint_objective",
     "score",
     "curvature",
     "estimate",
@@ -114,8 +111,8 @@ class EstimateResult:
 
     evaluations counts the passes over the band that located alpha_hat
     (evaluations of Ghat or of its moments), always >= 1; on a band holding
-    a value <= 0 it includes the three checks of Ghat at the box edges and
-    the midpoint.  converged means the stopping rule was met before the
+    a value <= 0 it includes the two checks of Ghat at the box edges.
+    converged means the stopping rule was met before the
     iteration cap; an estimate on a box edge can be converged, and
     boundary_hit flags it.
     """
@@ -159,18 +156,20 @@ class _BandArrays:
 
     w: np.ndarray
     log_l: np.ndarray
-    log_l2: np.ndarray
     w_sum: float
     wbar: float
-    # log l - wbar and its square: the score and curvature as centered
-    # moments, free of the cancellation in Ghat_1/Ghat - wbar
-    log_c: np.ndarray
-    log_c2: np.ndarray
-    # the weighted-OLS slope of y on log l is dot(ols_weights, y) / ols_den
+    # rows 1, log l - wbar, (log l - wbar)^2: one einsum with the tilt gives
+    # W Ghat and the centered moments of the score and curvature, free of
+    # the cancellation in Ghat_1/Ghat - wbar
+    basis: np.ndarray
+    # the weighted-OLS slope of y on log l is sum(ols_weights * y) / ols_den
     ols_weights: np.ndarray
     ols_den: float
 
 
+# The band reductions use np.einsum without optimize, which runs numpy's own
+# single-threaded loops.  A BLAS dot product splits long vectors across BLAS
+# threads, so its rounding, and alpha_hat with it, would depend on their count.
 @functools.lru_cache(maxsize=32)
 def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     l = np.arange(l_lo, l_hi + 1, dtype=float)
@@ -178,22 +177,19 @@ def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     log_l = np.log(l)
     w_sum = float(w.sum())
     wbar = float((w * log_l).sum() / w_sum)
-    log_l2 = log_l**2
     log_c = log_l - wbar
-    log_c2 = log_c**2
+    basis = np.stack([np.ones_like(l), log_c, log_c**2])
     ols_weights = w * log_c
-    for a in (w, log_l, log_l2, log_c, log_c2, ols_weights):
+    for a in (w, log_l, basis, ols_weights):
         a.setflags(write=False)
     return _BandArrays(
         w=w,
         log_l=log_l,
-        log_l2=log_l2,
         w_sum=w_sum,
         wbar=wbar,
-        log_c=log_c,
-        log_c2=log_c2,
+        basis=basis,
         ols_weights=ols_weights,
-        ols_den=float(np.dot(w, log_c2)),
+        ols_den=float(np.einsum("i,i", w, basis[2])),
     )
 
 
@@ -221,78 +217,53 @@ class _BandData:
         self.wc = self.arrays.w * self.values
 
     def ghat(self, alpha: float) -> float:
-        return float(np.dot(self.wc, np.exp(alpha * self.log_l))) / self.w_sum
-
-    def ghat_moments(self, alpha: float) -> tuple[float, float, float]:
-        tilt = self.wc * np.exp(alpha * self.log_l)
-        g0 = float(tilt.sum())
-        g1 = float(np.dot(tilt, self.log_l))
-        g2 = float(np.dot(tilt, self.arrays.log_l2))
-        return g0 / self.w_sum, g1 / self.w_sum, g2 / self.w_sum
+        return float(np.einsum("i,i", self.wc, np.exp(alpha * self.log_l))) / self.w_sum
 
     def centered_moments(self, alpha: float) -> tuple[float, float, float]:
         """(Ghat, score, curvature) at alpha, with Ghat checked finite and > 0."""
-        tilt = self.wc * np.exp(alpha * self.log_l)
-        g0 = float(tilt.sum())
+        # wc * exp(alpha log l), formed in one buffer
+        tilt = np.multiply(self.log_l, alpha)
+        np.exp(tilt, out=tilt)
+        tilt *= self.wc
+        g0, m1, m2 = np.einsum("ji,i->j", self.arrays.basis, tilt).tolist()
         g = _check_amplitude(g0 / self.w_sum, alpha)
-        s = float(np.dot(tilt, self.arrays.log_c)) / g0
-        q = float(np.dot(tilt, self.arrays.log_c2)) / g0 - s * s
-        return g, s, q
+        s = m1 / g0
+        return g, s, m2 / g0 - s * s
 
 
 def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
     return band if band is not None else full_band(spectrum.l_max)
 
 
-def g_hat_k(
-    spectrum: EmpiricalSpectrum, alpha: float, k: int = 0, band: Band | None = None
-) -> float:
-    """Weighted amplitude moment Ghat_k(alpha) over the band.
-
-    May legitimately return <= 0 for debiased spectra.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1, or 2")
-    data = _BandData(spectrum, _band_or_full(spectrum, band))
-    return data.ghat_moments(alpha)[k]
+# A Ghat that overflows or sums inf - inf is inf or nan, which
+# _check_amplitude reports as a typed error, so numpy's warnings are silenced
+# where Ghat is computed.  numpy keeps this state per thread (a context
+# variable), so it is entered here, in the thread that does the work.
+def _quiet():
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def objective(
     spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None
 ) -> float:
     """Concentrated objective R(alpha) = log Ghat(alpha) - alpha * wbar."""
-    data = _BandData(spectrum, _band_or_full(spectrum, band))
-    return math.log(_check_amplitude(data.ghat(alpha), alpha)) - alpha * data.wbar
-
-
-def joint_objective(
-    spectrum: EmpiricalSpectrum, alpha: float, g: float, band: Band | None = None
-) -> float:
-    """Un-concentrated Whittle sum over (alpha, g); used to verify concentration."""
-    if not g > 0:
-        raise ValueError("g must be positive")
-    band = _band_or_full(spectrum, band)
-    values = spectrum.values[band.l_lo - 1 : band.l_hi]
-    if not (values > 0).all():
-        raise NonPositiveValue("joint objective needs positive spectrum values in band")
-    l = np.arange(band.l_lo, band.l_hi + 1, dtype=float)
-    w = 2.0 * l + 1.0
-    ratio = values * np.exp(alpha * np.log(l)) / g
-    return float(np.dot(w, ratio - np.log(ratio)))
+    with _quiet():
+        data = _BandData(spectrum, _band_or_full(spectrum, band))
+        return math.log(_check_amplitude(data.ghat(alpha), alpha)) - alpha * data.wbar
 
 
 def score(spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None) -> float:
     """Exact derivative of the objective, Ghat_1/Ghat - wbar."""
-    data = _BandData(spectrum, _band_or_full(spectrum, band))
-    return data.centered_moments(alpha)[1]
+    with _quiet():
+        return _BandData(spectrum, _band_or_full(spectrum, band)).centered_moments(alpha)[1]
 
 
 def curvature(
     spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None
 ) -> float:
     """Second derivative of the objective, (Ghat_2 Ghat - Ghat_1^2) / Ghat^2."""
-    data = _BandData(spectrum, _band_or_full(spectrum, band))
-    return data.centered_moments(alpha)[2]
+    with _quiet():
+        return _BandData(spectrum, _band_or_full(spectrum, band)).centered_moments(alpha)[2]
 
 
 def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
@@ -303,7 +274,8 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     the score's root, or the edge at which the score keeps its sign.  The
     start is then the weighted-OLS slope of log Chat_l on log l, clipped
     into the box.  A band holding a value <= 0 starts at the midpoint after
-    checking Ghat at both edges and there, and where the curvature is <= 0
+    checking Ghat at both edges (the first pass checks it at the midpoint),
+    and where the curvature is <= 0
     its Newton step points at the box edge on the descent side.  As in
     rtsafe (Numerical Recipes 9.4), a Newton step is taken only when it
     stays inside the bracket and at most halves the step before the last;
@@ -314,17 +286,18 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     Ghat(alpha), passes over the band, converged).
     """
     a1, a2 = box.alpha_min, box.alpha_max
-    positive = bool((data.values > 0).all())
+    positive = bool(data.values.min() > 0)
     if positive:
         arrays = data.arrays
-        slope = float(np.dot(arrays.ols_weights, np.log(data.values))) / arrays.ols_den
+        log_values = np.log(data.values)
+        slope = float(np.einsum("i,i", arrays.ols_weights, log_values)) / arrays.ols_den
         x = min(max(-slope, a1), a2)
         evals = 0
     else:
         x = 0.5 * (a1 + a2)
-        for alpha in (a1, x, a2):
+        for alpha in (a1, a2):
             _check_amplitude(data.ghat(alpha), alpha)
-        evals = 3
+        evals = 2
     # the score is negative at lo and positive at hi once they are known;
     # until then they are the box edges
     lo, hi = a1, a2
@@ -376,9 +349,9 @@ def estimate(
     Newton-bisection.  When every spectrum value in the band is positive
     the objective is convex, the search starts from a weighted-OLS fit, and
     the result is the minimizer over the box.  A band holding a value <= 0
-    (a debiased spectrum) first has Ghat checked at both box edges and the
-    midpoint; the search starts at the midpoint and returns the local
-    minimizer reached from there, which need not be the global one.  An
+    (a debiased spectrum) first has Ghat checked at both box edges; the
+    search starts at the midpoint, checking Ghat there, and returns the
+    local minimizer reached from there, which need not be the global one.  An
     estimate within tol of a box edge is flagged as a boundary hit.
 
     Raises NonPositiveAmplitude the first time any probed alpha gives
@@ -390,8 +363,9 @@ def estimate(
         box = SearchBox()
     if band.width < 2:
         raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
-    data = _BandData(spectrum, band)
-    x, g_hat, evals, converged = _score_root(data, box)
+    with _quiet():
+        data = _BandData(spectrum, band)
+        x, g_hat, evals, converged = _score_root(data, box)
     return EstimateResult(
         alpha_hat=float(x),
         g_hat=float(g_hat),

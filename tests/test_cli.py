@@ -4,14 +4,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sphwhittle
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
+from sphwhittle.montecarlo import _POOL_MIN_L
 
 
 def write_config(path, payload) -> str:
@@ -123,27 +129,51 @@ class TestSimulateEstimate:
         assert main(["estimate", "--config", est, "--out", str(tmp_path / "e")]) == 1
 
 
+def same_artifacts(dirs) -> bool:
+    return all(
+        (d / name).read_bytes() == (dirs[0] / name).read_bytes()
+        for d in dirs[1:]
+        for name in ("report.json", "samples.csv")
+    )
+
+
 class TestMc:
     def test_byte_identical_runs_and_threads(self, tmp_path):
-        cfg = write_config(tmp_path / "mc.json", mc_config())
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-            rc = main(
-                [
-                    "mc",
-                    "--config",
-                    cfg,
-                    "--out",
-                    str(tmp_path / name),
-                    "--threads",
-                    threads,
-                ]
+        # L = _POOL_MIN_L runs on the thread pool
+        for l_max in (150, _POOL_MIN_L):
+            cfg = write_config(tmp_path / "mc.json", mc_config(L=l_max))
+            outs = [tmp_path / f"{l_max}-{name}" for name in "abc"]
+            for out, threads in zip(outs, ("1", "1", "4")):
+                rc = main(["mc", "--config", cfg, "--out", str(out), "--threads", threads])
+                assert rc == 0
+            assert same_artifacts(outs)
+
+    def test_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
+        # a BLAS reduction's rounding depends on its thread count past ~1e4
+        # entries; the band reductions must not call BLAS, and the pool must
+        # not change any replication
+        cfg = write_config(tmp_path / "mc.json", mc_config(L=20000, replications=50, seed=42))
+        src = str(Path(sphwhittle.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for blas in ("1", "2", "4"):
+            outs.append(tmp_path / f"blas{blas}")
+            argv = ["mc", "--config", cfg, "--out", str(outs[-1])]
+            subprocess.run(
+                [sys.executable, "-m", "sphwhittle.cli", *argv],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=path),
+                check=True,
+                timeout=600,
             )
-            assert rc == 0
-        ref_report = (tmp_path / "a" / "report.json").read_bytes()
-        ref_samples = (tmp_path / "a" / "samples.csv").read_bytes()
-        for name in ("b", "c"):
-            assert (tmp_path / name / "report.json").read_bytes() == ref_report
-            assert (tmp_path / name / "samples.csv").read_bytes() == ref_samples
+        for threads in ("1", "2", "4"):
+            outs.append(tmp_path / f"threads{threads}")
+            assert main(["mc", "--config", cfg, "--out", str(outs[-1]), "--threads", threads]) == 0
+        assert same_artifacts(outs)
+
+    def test_threads_must_be_positive(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "mc.json", mc_config())
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 1
+        assert "error: argument --threads" in capsys.readouterr().err
 
     def test_report_embeds_resolved_config(self, tmp_path):
         cfg = write_config(tmp_path / "mc.json", mc_config())
@@ -281,11 +311,13 @@ def test_bad_config_exits_one(tmp_path, capsys, subcommand, config, csv_text):
 
 
 # Property test: every config a user can write ends in exit 0, 1 or 2 with
-# no traceback, and a nonzero exit says why on stderr.  Each example is a
-# valid config with up to two entries deleted or replaced by a wrong type,
-# an out-of-range number or a string.  Sizes (L, L_values, replications)
-# stay <= 50 so an example is cheap; a larger size is a valid request for
-# more work, not a fault.
+# no traceback and no numpy warning; stderr holds only "error: ..." lines,
+# and a nonzero exit says why there.  Each example is a valid config with up
+# to two entries deleted or replaced by a wrong type, an out-of-range number
+# or a string.  Sizes (L, L_values, replications) stay <= 50 so an example
+# is cheap; a larger size is a valid request for more work, not a fault.
+# The @example L of 1e18 and 1e19 are too large to allocate: they must fail
+# as config errors before any array is built.
 _SIZES = {"L", "L_values", "replications"}
 _ODD = st.one_of(
     st.none(),
@@ -376,12 +408,14 @@ def _run(subcommand: str, config: dict, csv_text: str | None = None) -> None:
             config = dict(config, input=str(work / "in.csv"))
         cfg = write_config(work / "cfg.json", config)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
             rc = main([subcommand, "--config", cfg, "--out", str(work / "o")])
     assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if rc != 0:
-        assert "error: " in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines)
+    assert bool(lines) == (rc != 0)
 
 
 _FUZZ = settings(max_examples=60, deadline=None)
@@ -401,6 +435,8 @@ _FUZZ = settings(max_examples=60, deadline=None)
         )
     )
 )
+@example({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 1e18, "seed": 0})
+@example({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 1e19, "seed": 0})
 def test_simulate_any_config(config):
     _run("simulate", config)
 
@@ -433,6 +469,8 @@ def test_simulate_any_config(config):
         "seed": 0,
     }
 )
+@example(mc_config(L=1e18))
+@example(mc_config(L=1e19))
 def test_mc_any_config(config):
     _run("mc", config)
 
@@ -488,5 +526,8 @@ def test_estimate_any_config(csv_text, config):
         keep=frozenset({"L", "L_values"}),
     )
 )
+@example({"L": 2, "s_values": [math.inf]})
+@example({"L": 1e18})
+@example({"L_values": [10, 1e19]})
 def test_oracle_any_config(config):
     _run("oracle", config)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from sphwhittle import (
     summarize,
     write_report_files,
 )
+from sphwhittle.montecarlo import _POOL_MIN_L
 
 
 def base_config(**overrides) -> dict:
@@ -268,14 +270,26 @@ class TestSummarize:
 
 class TestRunExperiment:
     def test_deterministic_and_thread_invariant(self):
-        cfg, resolved = experiment_from_dict(base_config())
-        r1 = run_experiment(cfg, threads=1)
-        r2 = run_experiment(cfg, threads=1)
-        r4 = run_experiment(cfg, threads=4)
-        d1 = json.dumps(report_to_dict(r1, resolved), sort_keys=True)
-        d2 = json.dumps(report_to_dict(r2, resolved), sort_keys=True)
-        d4 = json.dumps(report_to_dict(r4, resolved), sort_keys=True)
-        assert d1 == d2 == d4
+        # L = _POOL_MIN_L runs on the thread pool
+        for l_max, reps in ((300, 100), (_POOL_MIN_L, 20)):
+            cfg, resolved = experiment_from_dict(base_config(L=l_max, replications=reps))
+            r1 = run_experiment(cfg, threads=1)
+            r2 = run_experiment(cfg, threads=1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            try:
+                r4 = run_experiment(cfg, threads=4)
+            finally:
+                sys.setswitchinterval(interval)
+            d1 = json.dumps(report_to_dict(r1, resolved), sort_keys=True)
+            d2 = json.dumps(report_to_dict(r2, resolved), sort_keys=True)
+            d4 = json.dumps(report_to_dict(r4, resolved), sort_keys=True)
+            assert d1 == d2 == d4
+
+    def test_threads_must_be_positive(self):
+        cfg, _ = experiment_from_dict(base_config(L=_POOL_MIN_L, replications=2))
+        with pytest.raises(ValueError):
+            run_experiment(cfg, threads=0)
 
     @pytest.mark.parametrize("noise", [None, {"g_n": 1.0, "gamma": 2.2}])
     def test_replications_match_public_samplers(self, noise):
