@@ -40,7 +40,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, _draw_debiased, _draw_empirical
+from .sampling import SeedSpec, _draw_debiased, _draw_empirical, _observed
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -257,7 +257,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     if cfg.noise is None:
         draw = partial(_draw_empirical, c)
     else:
-        draw = partial(_draw_debiased, c, noise_values(cfg.noise, cfg.l_max))
+        c_n = noise_values(cfg.noise, cfg.l_max)
+        draw = partial(_draw_debiased, _observed(c, c_n), c_n)
 
     def replicate(indices: range) -> list[tuple[float, str]]:
         outcomes = []

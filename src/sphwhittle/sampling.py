@@ -42,27 +42,41 @@ class EmpiricalSpectrum:
     Non-debiased spectra are quadratic forms and must be strictly positive.
     Debiased spectra (noise subtracted) may carry negative values; those are
     kept as-is so downstream amplitude checks can detect the failure regime.
+    The values are a read-only copy of the array given.
     """
 
     values: np.ndarray
     debiased: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if not np.isfinite(values).all():
-            raise NonFiniteValue("values must be finite")
-        # min builds no temporary array (values are finite here)
-        if not self.debiased and not values.min() > 0:
-            raise NonPositiveValue("non-debiased spectrum values must be positive")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        values = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", _checked(values, self.debiased))
 
     @property
     def l_max(self) -> int:
         return int(self.values.size)
+
+
+def _checked(values: np.ndarray, debiased: bool) -> np.ndarray:
+    # EmpiricalSpectrum's checks; freezes and returns values
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty 1-D array")
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("values must be finite")
+    # min builds no temporary array (values are finite here)
+    if not debiased and not values.min() > 0:
+        raise NonPositiveValue("non-debiased spectrum values must be positive")
+    values.setflags(write=False)
+    return values
+
+
+def _own(values: np.ndarray, debiased: bool) -> EmpiricalSpectrum:
+    # an EmpiricalSpectrum holding a fresh float buffer that no caller sees,
+    # checked and frozen in place instead of copied
+    spectrum = object.__new__(EmpiricalSpectrum)
+    object.__setattr__(spectrum, "values", _checked(values, debiased))
+    object.__setattr__(spectrum, "debiased", debiased)
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -128,18 +142,21 @@ def _chisq_df(l_max: int) -> np.ndarray:
     return df
 
 
-def _chisq_ratios(l_max: int, rng: np.random.Generator) -> np.ndarray:
-    # X_l / (2l+1) with X_l ~ chi2(2l+1), one draw per multipole
-    df = _chisq_df(l_max)
-    return rng.chisquare(df) / df
+def _scaled_chisq(c: np.ndarray, seed: SeedSpec) -> np.ndarray:
+    # c_l X_l / (2l+1) with X_l ~ chi2(2l+1), formed in the draw's own
+    # buffer; a value that overflows is inf, which the spectrum's check
+    # reports as NonFiniteValue
+    df = _chisq_df(c.size)
+    x = generator(seed).chisquare(df)
+    x /= df
+    with np.errstate(over="ignore"):
+        x *= c
+    return x
 
 
 def _draw_empirical(c: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
-    # sample_empirical for precomputed model values c = C_1..C_L; a value
-    # that overflows is inf, which EmpiricalSpectrum reports as NonFiniteValue
-    with np.errstate(over="ignore"):
-        values = c * _chisq_ratios(c.size, generator(seed))
-    return EmpiricalSpectrum(values=values)
+    # sample_empirical for precomputed model values c = C_1..C_L
+    return _own(_scaled_chisq(c, seed), debiased=False)
 
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
@@ -168,12 +185,17 @@ def empirical_from_alm(coeffs: HarmonicCoefficients) -> EmpiricalSpectrum:
     return EmpiricalSpectrum(values=sums / (2 * l + 1))
 
 
-def _draw_debiased(c_t: np.ndarray, c_n: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
-    # sample_observed_debiased for precomputed C_T and C_N, overflow as above
-    ratios = _chisq_ratios(c_t.size, generator(seed))
+def _observed(c_t: np.ndarray, c_n: np.ndarray) -> np.ndarray:
+    # C_T + C_N; a sum that overflows is inf, and so is every value drawn
     with np.errstate(over="ignore"):
-        values = (c_t + c_n) * ratios - c_n
-    return EmpiricalSpectrum(values=values, debiased=True)
+        return c_t + c_n
+
+
+def _draw_debiased(c_obs: np.ndarray, c_n: np.ndarray, seed: SeedSpec) -> EmpiricalSpectrum:
+    # sample_observed_debiased for precomputed C_T + C_N and C_N
+    x = _scaled_chisq(c_obs, seed)
+    x -= c_n
+    return _own(x, debiased=True)
 
 
 def sample_observed_debiased(
@@ -184,7 +206,8 @@ def sample_observed_debiased(
     Negative values are retained: they signal multipoles where the noise
     dominates and are meaningful to the estimator's failure diagnostics.
     """
-    return _draw_debiased(spectrum_values(model, l_max), noise_values(noise, l_max), seed)
+    c_n = noise_values(noise, l_max)
+    return _draw_debiased(_observed(spectrum_values(model, l_max), c_n), c_n, seed)
 
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:

@@ -14,6 +14,13 @@ computed from centered logs rather than as Ghat_1/Ghat - wbar.  Every
 band is minimized by one safeguarded Newton-bisection root of the score:
 the minimizer over the box where R is convex (positive values), else the
 local minimizer reached from the box midpoint (a debiased spectrum).
+Each iterate costs one pass over the band, except that a debiased band's
+box edges and midpoint share one pass and the final point, reached by a
+step of at most 1e-7, costs none; a positive band usually takes 2-3
+passes, a debiased one about 6.  The band sums run on values divided by
+a power of two near max |Chat_l| and on l^alpha / l_hi^alpha, so no term
+overflows and alpha_hat does not depend on the spectrum's scale; only a
+g_hat that is itself out of range raises.
 
 Normalization factors scale (alpha_hat - alpha0) so the limit law is N(0,1):
 full band sqrt(2) L / (4 c), narrow band L sqrt(g^3 / 12), and the
@@ -110,9 +117,10 @@ class EstimateResult:
     """Minimizer output; g_hat is Ghat evaluated from the data at alpha_hat.
 
     evaluations counts the passes over the band that located alpha_hat
-    (evaluations of Ghat or of its moments), always >= 1; on a band holding
-    a value <= 0 it includes the two checks of Ghat at the box edges.
-    converged means the stopping rule was met before the
+    (each gives Ghat and its moments at one alpha), always >= 1; on a band
+    holding a value <= 0 the first pass covers the box edges and midpoint
+    at once, and the final point, reached by a step of at most 1e-7, takes
+    no pass.  converged means the stopping rule was met before the
     iteration cap; an estimate on a box edge can be converged, and
     boundary_hit flags it.
     """
@@ -155,7 +163,10 @@ class _BandArrays:
     """Spectrum-free band quantities; the arrays are read-only and shared."""
 
     w: np.ndarray
-    log_l: np.ndarray
+    # log l - log l_hi <= 0: each tilt exp(alpha (log l - log l_hi)) lies in
+    # (0, 1] for alpha >= 0, so the scaled band sums cannot overflow
+    log_s: np.ndarray
+    log_hi: float
     w_sum: float
     wbar: float
     # rows 1, log l - wbar, (log l - wbar)^2: one einsum with the tilt gives
@@ -179,18 +190,32 @@ def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     wbar = float((w * log_l).sum() / w_sum)
     log_c = log_l - wbar
     basis = np.stack([np.ones_like(l), log_c, log_c**2])
+    log_s = log_l - log_l[-1]
     ols_weights = w * log_c
-    for a in (w, log_l, basis, ols_weights):
+    for a in (w, log_s, basis, ols_weights):
         a.setflags(write=False)
     return _BandArrays(
         w=w,
-        log_l=log_l,
+        log_s=log_s,
+        log_hi=float(log_l[-1]),
         w_sum=w_sum,
         wbar=wbar,
         basis=basis,
         ols_weights=ols_weights,
         ols_den=float(np.einsum("i,i", w, basis[2])),
     )
+
+
+# Rows 3k..3k+2 are exp(a_k (log l - log l_hi)) * basis for the probes a_k,
+# so one einsum with the weighted values gives W Ghat and both centered
+# moments at every probe.  Three probes take 9 band lengths (0.14 MB at
+# L = 2000).
+@functools.lru_cache(maxsize=8)
+def _probe_rows(l_lo: int, l_hi: int, probes: tuple[float, ...]) -> np.ndarray:
+    arrays = _band_arrays(l_lo, l_hi)
+    rows = np.concatenate([np.exp(a * arrays.log_s) * arrays.basis for a in probes])
+    rows.setflags(write=False)
+    return rows
 
 
 def _check_amplitude(g: float, alpha: float) -> float:
@@ -202,33 +227,71 @@ def _check_amplitude(g: float, alpha: float) -> float:
 
 
 class _BandData:
-    """Per-(spectrum, band) data; the band arrays are cached per band."""
+    """Per-(spectrum, band) data; the band arrays are cached per band.
+
+    The band sums run on the values divided by 2^e, the power of two just
+    above max |Chat_l| (an exact division), and on the tilt shifted by
+    l_hi^-alpha, so every term is below w_l in size.  A scaled amplitude
+    g_s = Ghat(alpha) / (2^e l_hi^alpha) is scaled back only where Ghat
+    itself is wanted, so only a Ghat that is out of range overflows.
+    """
 
     def __init__(self, spectrum: EmpiricalSpectrum, band: Band) -> None:
         if band.l_hi > spectrum.l_max:
             raise ValueError(
                 f"band [{band.l_lo}, {band.l_hi}] exceeds spectrum l_max={spectrum.l_max}"
             )
+        self.band = band
         self.arrays = _band_arrays(band.l_lo, band.l_hi)
-        self.log_l = self.arrays.log_l
+        self.log_s = self.arrays.log_s
         self.w_sum = self.arrays.w_sum
         self.wbar = self.arrays.wbar
         self.values = spectrum.values[band.l_lo - 1 : band.l_hi]
-        self.wc = self.arrays.w * self.values
+        v_min, v_max = float(self.values.min()), float(self.values.max())
+        self.positive = v_min > 0
+        # frexp(0) = (0, 0): an all-zero band keeps its zeros
+        exponent = math.frexp(max(v_max, -v_min))[1]
+        self.log_m = exponent * math.log(2.0)
+        self.wc = np.ldexp(self.values, -exponent)
+        self.wc *= self.arrays.w
 
     def ghat(self, alpha: float) -> float:
-        return float(np.einsum("i,i", self.wc, np.exp(alpha * self.log_l))) / self.w_sum
+        """The scaled amplitude g_s at alpha."""
+        return float(np.einsum("i,i", self.wc, np.exp(alpha * self.log_s))) / self.w_sum
+
+    def amplitude(self, alpha: float, g_s: float, log_step: float = 0.0) -> float:
+        """Ghat(alpha) exp(log_step) from g_s, checked finite and > 0."""
+        # formed in logs: the product g_s 2^e l_hi^alpha overflows only when
+        # it is itself out of range
+        log_scale = self.log_m + alpha * self.arrays.log_hi + log_step
+        try:
+            g = math.exp(math.log(abs(g_s)) + log_scale) if g_s else 0.0
+        except OverflowError:
+            g = math.inf
+        return _check_amplitude(math.copysign(g, g_s), alpha)
+
+    def moments(self, alpha: float, g0: float, m1: float, m2: float) -> tuple[float, float, float]:
+        """(g_s, score, curvature) from W g_s and the two centered moments."""
+        if not g0 > 0:
+            self.amplitude(alpha, g0 / self.w_sum)  # raises NonPositiveAmplitude
+        s = m1 / g0
+        return g0 / self.w_sum, s, m2 / g0 - s * s
 
     def centered_moments(self, alpha: float) -> tuple[float, float, float]:
-        """(Ghat, score, curvature) at alpha, with Ghat checked finite and > 0."""
-        # wc * exp(alpha log l), formed in one buffer
-        tilt = np.multiply(self.log_l, alpha)
+        """(g_s, score, curvature) at alpha; raises if Ghat(alpha) <= 0."""
+        # wc * exp(alpha (log l - log l_hi)), formed in one buffer
+        tilt = np.multiply(self.log_s, alpha)
         np.exp(tilt, out=tilt)
         tilt *= self.wc
-        g0, m1, m2 = np.einsum("ji,i->j", self.arrays.basis, tilt).tolist()
-        g = _check_amplitude(g0 / self.w_sum, alpha)
-        s = m1 / g0
-        return g, s, m2 / g0 - s * s
+        return self.moments(alpha, *np.einsum("ji,i->j", self.arrays.basis, tilt).tolist())
+
+    def probe_moments(self, box: SearchBox) -> dict[float, tuple[float, float, float]]:
+        """centered_moments at alpha_min, alpha_max and the midpoint, in one
+        pass; the amplitudes are checked in that order."""
+        probes = (box.alpha_min, box.alpha_max, 0.5 * (box.alpha_min + box.alpha_max))
+        rows = _probe_rows(self.band.l_lo, self.band.l_hi, probes)
+        sums = np.einsum("ji,i->j", rows, self.wc).tolist()
+        return {a: self.moments(a, *sums[3 * k : 3 * k + 3]) for k, a in enumerate(probes)}
 
 
 def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
@@ -249,7 +312,7 @@ def objective(
     """Concentrated objective R(alpha) = log Ghat(alpha) - alpha * wbar."""
     with _quiet():
         data = _BandData(spectrum, _band_or_full(spectrum, band))
-        return math.log(_check_amplitude(data.ghat(alpha), alpha)) - alpha * data.wbar
+        return math.log(data.amplitude(alpha, data.ghat(alpha))) - alpha * data.wbar
 
 
 def score(spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None) -> float:
@@ -273,57 +336,62 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     so it is convex and its score increases: the minimizer over the box is
     the score's root, or the edge at which the score keeps its sign.  The
     start is then the weighted-OLS slope of log Chat_l on log l, clipped
-    into the box.  A band holding a value <= 0 starts at the midpoint after
-    checking Ghat at both edges (the first pass checks it at the midpoint),
-    and where the curvature is <= 0
-    its Newton step points at the box edge on the descent side.  As in
+    into the box.  A band holding a value <= 0 starts at the midpoint.  One
+    pass over the band (probe_moments) gives Ghat, score and curvature at
+    alpha_min, alpha_max and the midpoint, checks Ghat > 0 at the three, and
+    serves any iterate that lands on one of them; where the curvature is
+    <= 0 the Newton step points at the box edge on the descent side.  As in
     rtsafe (Numerical Recipes 9.4), a Newton step is taken only when it
     stays inside the bracket and at most halves the step before the last;
     otherwise the bracket is bisected.  A box edge is evaluated only when a
-    Newton step tries to leave the box through it.  The search stops at the
-    first point reached by a step of at most _NEWTON_STOP, which quadratic
-    convergence puts within roundoff of the root.  Returns (alpha,
-    Ghat(alpha), passes over the band, converged).
+    Newton step tries to leave the box through it.  A step of at most
+    _NEWTON_STOP, which quadratic convergence puts within roundoff of the
+    root, ends the search at its target with no pass there: Ghat(target)
+    is the second-order expansion of log Ghat from the last pass, exact to
+    roundoff over such a step.  Returns (alpha, Ghat(alpha), passes over
+    the band, converged).
     """
     a1, a2 = box.alpha_min, box.alpha_max
-    positive = bool(data.values.min() > 0)
-    if positive:
+    if data.positive:
         arrays = data.arrays
         log_values = np.log(data.values)
         slope = float(np.einsum("i,i", arrays.ols_weights, log_values)) / arrays.ols_den
         x = min(max(-slope, a1), a2)
+        probes = {}
         evals = 0
     else:
         x = 0.5 * (a1 + a2)
-        for alpha in (a1, a2):
-            _check_amplitude(data.ghat(alpha), alpha)
-        evals = 2
+        probes = data.probe_moments(box)
+        evals = 1
     # the score is negative at lo and positive at hi once they are known;
     # until then they are the box edges
     lo, hi = a1, a2
     lo_known = hi_known = False
     dx = dx_old = a2 - a1
-    while evals < _MAX_EVALS:
-        evals += 1
-        g0, s, q = data.centered_moments(x)
+    while True:
+        if x in probes:
+            g0, s, q = probes[x]
+        else:
+            evals += 1
+            g0, s, q = data.centered_moments(x)
         if s > 0:
             if x == a1:
-                return x, g0, evals, True
+                return x, data.amplitude(x, g0), evals, True
             hi, hi_known = x, True
         elif s < 0:
             if x == a2:
-                return x, g0, evals, True
+                return x, data.amplitude(x, g0), evals, True
             lo, lo_known = x, True
         if q > 0:
             newton = x - s / q
-        elif positive:
+        elif data.positive:
             # q <= 0 only by roundoff where R is convex: bisect
             newton = math.nan
         else:
             newton = math.inf if s < 0 else -math.inf
         # newton == x: the step is below the resolution of x
-        if s == 0 or newton == x or abs(dx) <= _NEWTON_STOP:
-            return x, g0, evals, True
+        if s == 0 or newton == x:
+            return x, data.amplitude(x, g0), evals, True
         if not lo < newton < hi:
             if newton <= lo and not lo_known:
                 target = a1
@@ -336,8 +404,15 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
         else:
             target = newton
         dx_old, dx = dx, target - x
+        if abs(dx) <= _NEWTON_STOP:
+            # d log g_s / d alpha is the tilted mean of log l - log l_hi,
+            # s + wbar - log l_hi, and the curvature is q
+            log_step = dx * (s + data.wbar - data.arrays.log_hi) + 0.5 * dx * dx * q
+            return target, data.amplitude(target, g0, log_step), evals, True
+        if evals >= _MAX_EVALS:
+            # target unevaluated; Ghat is the last pass's
+            return target, data.amplitude(x, g0), evals, False
         x = target
-    return x, g0, evals, False
 
 
 def estimate(
@@ -349,13 +424,15 @@ def estimate(
     Newton-bisection.  When every spectrum value in the band is positive
     the objective is convex, the search starts from a weighted-OLS fit, and
     the result is the minimizer over the box.  A band holding a value <= 0
-    (a debiased spectrum) first has Ghat checked at both box edges; the
-    search starts at the midpoint, checking Ghat there, and returns the
-    local minimizer reached from there, which need not be the global one.  An
-    estimate within tol of a box edge is flagged as a boundary hit.
+    (a debiased spectrum) first has Ghat checked at alpha_min, alpha_max
+    and the box midpoint, in that order and in one pass; the search starts
+    at the midpoint and returns the local minimizer reached from there,
+    which need not be the global one.  An estimate within tol of a box edge
+    is flagged as a boundary hit.
 
     Raises NonPositiveAmplitude the first time any probed alpha gives
-    Ghat(alpha) <= 0, NonFiniteValue when Ghat(alpha) is not finite, and
+    Ghat(alpha) <= 0, NonFiniteValue when g_hat = Ghat(alpha_hat) is not a
+    finite float (Ghat elsewhere may exceed the float range), and
     DegenerateBand for bands of fewer than 2 multipoles.
     """
     band = _band_or_full(spectrum, band)

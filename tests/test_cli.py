@@ -137,6 +137,28 @@ def same_artifacts(dirs) -> bool:
     )
 
 
+def assert_artifacts_ignore_threads(tmp_path, config: dict) -> None:
+    """`mc` artifacts are byte-identical under OPENBLAS_NUM_THREADS 1, 2
+    and 4 (subprocesses) and with --threads 1, 2 and 4 (in-process)."""
+    cfg = write_config(tmp_path / "mc.json", config)
+    src = str(Path(sphwhittle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for blas in ("1", "2", "4"):
+        outs.append(tmp_path / f"blas{blas}")
+        argv = ["mc", "--config", cfg, "--out", str(outs[-1])]
+        subprocess.run(
+            [sys.executable, "-m", "sphwhittle.cli", *argv],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=path),
+            check=True,
+            timeout=600,
+        )
+    for threads in ("1", "2", "4"):
+        outs.append(tmp_path / f"threads{threads}")
+        assert main(["mc", "--config", cfg, "--out", str(outs[-1]), "--threads", threads]) == 0
+    assert same_artifacts(outs)
+
+
 class TestMc:
     def test_byte_identical_runs_and_threads(self, tmp_path):
         # L = _POOL_MIN_L runs on the thread pool
@@ -152,23 +174,20 @@ class TestMc:
         # a BLAS reduction's rounding depends on its thread count past ~1e4
         # entries; the band reductions must not call BLAS, and the pool must
         # not change any replication
-        cfg = write_config(tmp_path / "mc.json", mc_config(L=20000, replications=50, seed=42))
-        src = str(Path(sphwhittle.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outs = []
-        for blas in ("1", "2", "4"):
-            outs.append(tmp_path / f"blas{blas}")
-            argv = ["mc", "--config", cfg, "--out", str(outs[-1])]
-            subprocess.run(
-                [sys.executable, "-m", "sphwhittle.cli", *argv],
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=path),
-                check=True,
-                timeout=600,
-            )
-        for threads in ("1", "2", "4"):
-            outs.append(tmp_path / f"threads{threads}")
-            assert main(["mc", "--config", cfg, "--out", str(outs[-1]), "--threads", threads]) == 0
-        assert same_artifacts(outs)
+        assert_artifacts_ignore_threads(tmp_path, mc_config(L=20000, replications=50, seed=42))
+
+    def test_debiased_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
+        # the same on debiased spectra, whose searches start with the
+        # one-pass probe of the box edges and midpoint
+        config = mc_config(
+            model={"type": "power_law", "g0": 1.0, "alpha0": 3.0},
+            noise={"g_n": 1.0, "gamma": 2.2},
+            scheme={"type": "noise"},
+            L=20000,
+            replications=50,
+            seed=42,
+        )
+        assert_artifacts_ignore_threads(tmp_path, config)
 
     def test_threads_must_be_positive(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "mc.json", mc_config())

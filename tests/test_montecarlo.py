@@ -331,11 +331,11 @@ class TestRunExperiment:
         assert len(report.statuses) == cfg.replications
 
     def test_numerical_errors_are_replication_errors(self):
-        # Ghat overflows on some draws: NonFiniteValue ends those
-        # replications, not the run
+        # a draw or Ghat(alpha_hat) beyond the float range on some
+        # replications: NonFiniteValue ends those replications, not the run
         cfg, _ = experiment_from_dict(
             base_config(
-                model={"type": "power_law", "g0": 6e304, "alpha0": 3.0},
+                model={"type": "power_law", "g0": 1e308, "alpha0": 3.0},
                 L=50,
                 replications=50,
                 seed=0,
@@ -345,6 +345,19 @@ class TestRunExperiment:
             report = run_experiment(cfg)
         assert 0 < report.statuses.count("error") < cfg.replications
         assert np.isnan(report.all_alpha_hats[[s == "error" for s in report.statuses]]).all()
+
+    def test_huge_amplitude_loses_no_replication(self):
+        # the unscaled terms (2l+1) Chat_l l^alpha overflow on the box, but
+        # every draw and every Ghat(alpha_hat) is a float
+        cfg, _ = experiment_from_dict(
+            base_config(
+                model={"type": "power_law", "g0": 6e304, "alpha0": 3.0},
+                L=50,
+                replications=50,
+                seed=0,
+            )
+        )
+        assert run_experiment(cfg).statuses.count("error") == 0
 
     def test_all_replications_failed(self):
         # the objective strictly increases on [8, 10] for these draws, so

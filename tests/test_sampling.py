@@ -10,6 +10,7 @@ from sphwhittle import (
     ExactPowerLaw,
     HarmonicCoefficients,
     NoiseModel,
+    NonFiniteValue,
     SeedSpec,
     debiased_variance_ratio,
     empirical_from_alm,
@@ -39,6 +40,28 @@ class TestEmpiricalSpectrum:
         spec = EmpiricalSpectrum(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             spec.values[0] = 3.0
+
+    def test_caller_array_is_copied(self):
+        values = np.array([1.0, 2.0])
+        spec = EmpiricalSpectrum(values)
+        values[0] = 3.0
+        assert spec.values.tolist() == [1.0, 2.0]
+        assert values.flags.writeable
+
+    def test_draws_are_checked_and_read_only(self):
+        # C_1 X_1 / 3 overflows on some draws at g0 = 1e308
+        model = ExactPowerLaw(1e308, 3.0)
+        outcomes = set()
+        for i in range(20):
+            try:
+                spec = sample_empirical(model, 5, SeedSpec(0, i))
+            except NonFiniteValue:
+                outcomes.add("error")
+                continue
+            outcomes.add("ok")
+            assert not spec.values.flags.writeable
+            assert np.isfinite(spec.values).all()
+        assert outcomes == {"ok", "error"}
 
 
 class TestSeedSpec:

@@ -68,6 +68,84 @@ def joint_objective(
     return float(np.dot(w, ratio - np.log(ratio)))
 
 
+def reference_root(
+    spectrum: EmpiricalSpectrum, band: Band | None = None, box: SearchBox = SearchBox()
+) -> tuple[float, float, int, bool]:
+    """Reference score-root search, as first written: unscaled band sums,
+    Ghat checked at both box edges by passes of their own on a band holding
+    a value <= 0, a pass at every iterate, and a stop one pass after a step
+    of at most 1e-7.  Returns (alpha, Ghat, passes, converged)."""
+    w, l, values = band_arrays(spectrum, band)
+    log_l = np.log(l)
+    w_sum = float(w.sum())
+    wbar = float((w * log_l).sum() / w_sum)
+    log_c = log_l - wbar
+    basis = np.stack([np.ones_like(l), log_c, log_c**2])
+    wc = w * values
+
+    def check(g: float, alpha: float) -> float:
+        if not g > 0:
+            raise NonPositiveAmplitude(f"Ghat({alpha}) = {g} <= 0")
+        if not math.isfinite(g):
+            raise NonFiniteValue(f"Ghat({alpha}) = {g} is not finite")
+        return g
+
+    def moments(alpha: float) -> tuple[float, float, float]:
+        g0, m1, m2 = np.einsum("ji,i->j", basis, wc * np.exp(alpha * log_l)).tolist()
+        g = check(g0 / w_sum, alpha)
+        s = m1 / g0
+        return g, s, m2 / g0 - s * s
+
+    a1, a2 = box.alpha_min, box.alpha_max
+    positive = bool(values.min() > 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if positive:
+            slope = np.einsum("i,i", w * log_c, np.log(values)) / np.einsum("i,i", w, basis[2])
+            x = min(max(-float(slope), a1), a2)
+            evals = 0
+        else:
+            x = 0.5 * (a1 + a2)
+            for alpha in (a1, a2):
+                check(float(np.einsum("i,i", wc, np.exp(alpha * log_l))) / w_sum, alpha)
+            evals = 2
+        lo, hi = a1, a2
+        lo_known = hi_known = False
+        dx = dx_old = a2 - a1
+        while evals < 200:
+            evals += 1
+            g0, s, q = moments(x)
+            if s > 0:
+                if x == a1:
+                    return x, g0, evals, True
+                hi, hi_known = x, True
+            elif s < 0:
+                if x == a2:
+                    return x, g0, evals, True
+                lo, lo_known = x, True
+            if q > 0:
+                newton = x - s / q
+            elif positive:
+                newton = math.nan
+            else:
+                newton = math.inf if s < 0 else -math.inf
+            if s == 0 or newton == x or abs(dx) <= 1e-7:
+                return x, g0, evals, True
+            if not lo < newton < hi:
+                if newton <= lo and not lo_known:
+                    target = a1
+                elif newton >= hi and not hi_known:
+                    target = a2
+                else:
+                    target = 0.5 * (lo + hi)
+            elif abs(2.0 * s) > abs(dx_old * q):
+                target = 0.5 * (lo + hi)
+            else:
+                target = newton
+            dx_old, dx = dx, target - x
+            x = target
+    return x, g0, evals, False
+
+
 def mc_noise_spectrum(rep: int) -> EmpiricalSpectrum:
     # one debiased draw of the mc-noise benchmark design (u = 0.8)
     model, noise = ExactPowerLaw(1.0, 3.0), NoiseModel(1.0, 2.2)
@@ -366,9 +444,10 @@ class TestEstimate:
             estimate(mc_noise_spectrum(40), full_band(2000), SearchBox())
 
     def test_debiased_band_evaluations(self):
+        # one probe pass, then the search's own passes
         for rep in [*range(20), 111]:
             result = estimate(mc_noise_spectrum(rep), full_band(2000), SearchBox())
-            assert 4 <= result.evaluations <= 16
+            assert 1 <= result.evaluations <= 13
 
     @pytest.mark.parametrize("negative", [False, True])
     def test_nonfinite_amplitude_raised(self, negative):
@@ -406,6 +485,72 @@ class TestEstimate:
         assert result.g_hat == pytest.approx(
             g_hat_k(spec, result.alpha_hat, k=0), rel=1e-12
         )
+
+
+def outcome(search, *args):
+    """(alpha_hat, boundary) of a search, or the class of the error it raises."""
+    box = SearchBox()
+    try:
+        alpha = search(*args)
+    except (NonPositiveAmplitude, NonFiniteValue) as exc:
+        return type(exc), None
+    return alpha, bool(alpha - box.alpha_min < box.tol or box.alpha_max - alpha < box.tol)
+
+
+class TestReferenceParity:
+    """estimate against reference_root, the search before the probe pass,
+    the scaled sums and the early stop."""
+
+    @pytest.mark.parametrize("rep", [*range(40), 111])
+    def test_debiased_bands(self, rep):
+        spec = mc_noise_spectrum(rep)
+        new = outcome(lambda: estimate(spec).alpha_hat)
+        ref = outcome(lambda: reference_root(spec)[0])
+        assert new[1] == ref[1]
+        if isinstance(ref[0], type):
+            assert new[0] is ref[0]
+            return
+        assert abs(new[0] - ref[0]) <= 1e-12
+        result = estimate(spec)
+        assert result.g_hat == pytest.approx(g_hat_k(spec, result.alpha_hat), rel=1e-12)
+        assert result.evaluations < reference_root(spec)[2]
+
+    @pytest.mark.parametrize("l_max", [2000, 20000])
+    def test_positive_bands(self, l_max):
+        for i in range(10):
+            spec = sample_empirical(MODEL, l_max, SeedSpec(22, i))
+            result = estimate(spec)
+            alpha, g, evals, converged = reference_root(spec)
+            assert abs(result.alpha_hat - alpha) <= 1e-12
+            assert result.g_hat == pytest.approx(g, rel=1e-12)
+            assert result.converged and converged
+            assert result.evaluations <= evals - 1
+
+    def test_nonpositive_at_both_edges_names_alpha_min(self):
+        # Ghat < 0 at alpha_min and alpha_max, > 0 at the midpoint
+        values = np.ones(50)
+        values[0], values[-1] = -1e7, -5.0
+        spec = EmpiricalSpectrum(values, debiased=True)
+        assert g_hat_k(spec, 2.01) < 0 < g_hat_k(spec, 6.005)
+        assert g_hat_k(spec, 10.0) < 0
+        with pytest.raises(NonPositiveAmplitude, match=r"^Ghat\(2\.01\) = "):
+            estimate(spec)
+        with pytest.raises(NonPositiveAmplitude, match=r"^Ghat\(2\.01\) = "):
+            reference_root(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sample_empirical(MODEL, 20000, SeedSpec(23, 0)), mc_noise_spectrum(0)],
+    ids=["positive", "debiased"],
+)
+def test_huge_values_keep_alpha_hat(spec):
+    # unscaled, W Ghat overflows near alpha0 at L = 20000, and the terms
+    # (2l+1) Chat_l l^alpha overflow at alpha_max
+    scaled = EmpiricalSpectrum(spec.values * 1e300, debiased=spec.debiased)
+    r1, r2 = estimate(spec), estimate(scaled)
+    assert abs(r1.alpha_hat - r2.alpha_hat) <= 1e-12
+    assert r2.g_hat == pytest.approx(r1.g_hat * 1e300, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
