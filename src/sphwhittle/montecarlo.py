@@ -1,14 +1,15 @@
 """Seeded replication engine for the estimator's sampling laws.
 
-Each replication i of an experiment draws a spectrum with SeedSpec
-(master_seed, i), estimates the index over the configured band, and
+Each replication i of an experiment draws a spectrum from the stream
+SeedSpec(master_seed, i), estimates the index over the configured band, and
 normalizes the error with the configured scheme.  The model spectrum (and
 noise spectrum) is computed once per run; only the chi-square draw is per
-replication.  Replications whose draw or estimate raises a NumericalError
-(status "error") or that stop on the search boundary are counted in
-boundary_hits and excluded from moment statistics (a diverging design would
-otherwise destroy every statistic); all replications appear in the
-per-replication table with a status column.
+replication.  The streams are seeded in blocks, bit-identical to
+sampling.generator for each SeedSpec.  Replications whose draw or estimate
+raises a NumericalError (status "error") or that stop on the search
+boundary are counted in boundary_hits and excluded from moment statistics
+(a diverging design would otherwise destroy every statistic); all
+replications appear in the per-replication table with a status column.
 
 At high L (l_max >= _POOL_MIN_L, 10000) replications run on a thread
 pool, one contiguous range of indices per thread: there numpy spends most
@@ -40,7 +41,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, _draw_debiased, _draw_empirical, _observed
+from .sampling import _draw_debiased, _draw_empirical, _observed, _stream_generators
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -249,7 +250,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     one per thread, since numpy releases the interpreter lock in the draw
     and the band passes; smaller runs are serial, where thread hand-offs
     cost more than they win.  Replication i draws from its own stream
-    SeedSpec(master_seed, i), so the report does not depend on threads.
+    SeedSpec(master_seed, i), so the report does not depend on threads;
+    each range seeds its streams in blocks, bit-identical to
+    default_rng(SeedSequence((master_seed, i))).
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -262,9 +265,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
 
     def replicate(indices: range) -> list[tuple[float, str]]:
         outcomes = []
-        for i in indices:
+        for rng in _stream_generators(cfg.master_seed, indices):
             try:
-                result = estimate(draw(SeedSpec(cfg.master_seed, i)), cfg.band, cfg.box)
+                result = estimate(draw(rng), cfg.band, cfg.box)
             except NumericalError:
                 outcomes.append((math.nan, "error"))
                 continue

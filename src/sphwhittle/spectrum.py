@@ -14,6 +14,7 @@ call them, so single and array evaluations are one computation.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, Union
 
@@ -43,6 +44,10 @@ __all__ = [
 # A run holds several float arrays of L entries (0.8 GB each at this bound);
 # a larger L would end in a memory or size error from np.arange
 MAX_L = 10**8
+
+# spectrum_values keeps the values of its last 8 (model, L) pairs with L up
+# to this bound: at most 8 arrays of 0.8 MB.  Larger L is computed per call.
+_CACHED_MAX_L = 10**5
 
 # construction-time positivity horizon for Rational; evaluators re-check
 # every requested range, so this only needs to catch obvious sign changes
@@ -132,7 +137,11 @@ class Rational:
         if not (self.alpha0 > 0):
             raise ValueError("alpha0 must be positive")
         l = np.arange(1, _RATIONAL_CHECK_LMAX + 1, dtype=float)
-        if not (np.polyval(self.p, l) > 0).all() or not (np.polyval(self.q, l) > 0).all():
+        # a polynomial that overflows here is checked again, by value, when
+        # the model is evaluated; numpy need not warn
+        with np.errstate(all="ignore"):
+            num, den = np.polyval(self.p, l), np.polyval(self.q, l)
+        if not (num > 0).all() or not (den > 0).all():
             raise ValueError("P and Q must be positive for all l >= 1")
 
     def values_at(self, l: np.ndarray) -> np.ndarray:
@@ -220,14 +229,27 @@ def check_l_max(l_max: int) -> None:
 
 
 def spectrum_values(model: SpectrumModel, l_max: int) -> np.ndarray:
-    """Return C_l for l = 1..l_max as a float array.
+    """Return C_l for l = 1..l_max as a read-only float array.
 
+    Repeated calls for the same model and l_max <= 10**5 share one array.
     Raises OutOfRange if a Tabulated model is shorter than l_max, or if some
     C_l is not a positive finite float, and ValueError unless 1 <= l_max <=
     MAX_L.
     """
     check_l_max(l_max)
-    return _evaluate(model, np.arange(1, l_max + 1, dtype=float))
+    if l_max <= _CACHED_MAX_L:
+        return _cached_values(model, l_max)
+    return _values(model, l_max)
+
+
+def _values(model: SpectrumModel | NoiseModel, l_max: int) -> np.ndarray:
+    c = _evaluate(model, np.arange(1, l_max + 1, dtype=float))
+    c.setflags(write=False)
+    return c
+
+
+# models are frozen dataclasses, so each is its own key
+_cached_values = functools.lru_cache(maxsize=8)(_values)
 
 
 def spectrum_value(model: SpectrumModel, l: int) -> float:
@@ -238,7 +260,7 @@ def spectrum_value(model: SpectrumModel, l: int) -> float:
 
 
 def noise_values(noise: NoiseModel, l_max: int) -> np.ndarray:
-    """Return C_N,l for l = 1..l_max."""
+    """Return C_N,l for l = 1..l_max, read-only, as spectrum_values does."""
     return spectrum_values(noise, l_max)
 
 

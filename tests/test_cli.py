@@ -488,6 +488,19 @@ def test_simulate_any_config(config):
         "seed": 0,
     }
 )
+@example(
+    # P(l) overflows in Rational's construction-time positivity check
+    {
+        "model": {"type": "rational", "p": [1e308, 1.0], "q": [1.0, 1.0], "alpha0": 3.0},
+        "noise": None,
+        "L": 2,
+        "band": {"type": "full"},
+        "box": {},
+        "scheme": {"type": "fullband", "corrected": False},
+        "replications": 2,
+        "seed": 0,
+    }
+)
 @example(mc_config(L=1e18))
 @example(mc_config(L=1e19))
 def test_mc_any_config(config):

@@ -40,6 +40,7 @@ from sphwhittle import (
     write_report_files,
 )
 from sphwhittle.montecarlo import _POOL_MIN_L
+from sphwhittle.sampling import _SEED_BLOCK
 
 
 def base_config(**overrides) -> dict:
@@ -291,12 +292,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(cfg, threads=0)
 
-    @pytest.mark.parametrize("noise", [None, {"g_n": 1.0, "gamma": 2.2}])
-    def test_replications_match_public_samplers(self, noise):
-        # run_experiment computes the model spectra once per run; each
-        # replication must still be the public sampler's draw, bit for bit
-        cfg, _ = experiment_from_dict(base_config(noise=noise, replications=20))
-        report = run_experiment(cfg)
+    @pytest.mark.parametrize(
+        "noise, overrides",
+        [
+            (None, {}),
+            ({"g_n": 1.0, "gamma": 2.2}, {}),
+            # one stream more than a seeding block
+            (None, {"L": 20, "replications": _SEED_BLOCK + 1}),
+            # on the pool, ranges that do not start at 0
+            ({"g_n": 1.0, "gamma": 2.2}, {"L": _POOL_MIN_L, "replications": 6}),
+        ],
+        ids=["None", "noise1", "block_plus_one", "pool"],
+    )
+    def test_replications_match_public_samplers(self, noise, overrides):
+        # run_experiment computes the model spectra once per run and seeds
+        # its streams in blocks; each replication must still be the public
+        # sampler's draw, bit for bit
+        config = {"replications": 20, **overrides}
+        cfg, _ = experiment_from_dict(base_config(noise=noise, **config))
+        report = run_experiment(cfg, threads=2)
         for i, alpha_hat in enumerate(report.all_alpha_hats):
             seed = SeedSpec(cfg.master_seed, i)
             if cfg.noise is None:

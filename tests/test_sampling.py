@@ -21,6 +21,7 @@ from sphwhittle import (
     spectrum_value,
     write_spectrum_csv,
 )
+from sphwhittle.sampling import _SEED_BLOCK, _stream_generators, _stream_words, generator
 
 MODEL = ExactPowerLaw(2.0, 3.0)
 
@@ -79,6 +80,41 @@ class TestSeedSpec:
         c = sample_empirical(MODEL, 40, SeedSpec(9, 4))
         assert (a.values == b.values).all()
         assert (a.values != c.values).any()
+
+
+class TestBlockSeeding:
+    # _stream_words copies numpy's SeedSequence hash; SeedSequence is the
+    # reference.  A master seed or stream index of 2**32 or more takes a
+    # second 32-bit entropy word.
+    MASTERS = (0, 42, 2**32 - 1, 2**32, 2**64 - 1)
+    STREAMS = (0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, 2**32 - 1, 2**32)
+
+    @staticmethod
+    def reference(master: int, stream: int) -> np.ndarray:
+        return np.random.SeedSequence((master, stream)).generate_state(4, np.uint64)
+
+    def test_words_match_seed_sequence(self):
+        for master in self.MASTERS:
+            for stream in self.STREAMS:
+                words = _stream_words(master, stream, stream + 1)
+                assert words.shape == (1, 4) and words.dtype == np.uint64
+                assert np.array_equal(words[0], self.reference(master, stream))
+
+    def test_block_straddling_word_count(self):
+        # one block holding one- and two-word stream indices
+        for master in (42, 2**64 - 1):
+            words = _stream_words(master, 2**32 - 2, 2**32 + 2)
+            for row, stream in zip(words, range(2**32 - 2, 2**32 + 2)):
+                assert np.array_equal(row, self.reference(master, stream))
+
+    def test_generators_match_generator(self):
+        # two blocks and a range that does not start at 0
+        indices = range(3, _SEED_BLOCK + 5)
+        rngs = list(_stream_generators(7, indices))
+        assert len(rngs) == len(indices)
+        for i in (0, 1, _SEED_BLOCK - 4, _SEED_BLOCK - 3, len(indices) - 1):
+            expected = generator(SeedSpec(7, indices[i])).chisquare(np.arange(3.0, 40.0))
+            assert np.array_equal(rngs[i].chisquare(np.arange(3.0, 40.0)), expected)
 
 
 class TestSampleEmpirical:
