@@ -2,10 +2,12 @@
 
 Artifacts are deterministic: JSON and CSV floats use shortest round-trip
 decimals and line endings are "\\n", and they do not depend on --threads.
-mc runs its replications on up to --threads worker threads (default and
-most: one per usable CPU) when L >= 10000, where they overlap in numpy; at
-lower L thread hand-offs cost more than they win, so it runs them serially.  Exit
-codes: 0 success, 1 config error, 2 numerical failure.
+mc runs its replications on up to --threads workers (default and most: one
+per usable CPU): threads when L >= 10000, where they overlap in numpy;
+below that, on Linux, forked worker processes with at least 250
+replications each, since thread hand-offs cost more than they win there;
+otherwise serially.  Exit codes: 0 success, 1 config error, 2 numerical
+failure.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from pathlib import Path
 from .asymptotics import k_factor, u_limit, z_fullband, z_limit_fullband, z_narrowband
 from .errors import NumericalError, ConfigError, SphwhittleError
 from .montecarlo import (
+    _config_int,
     band_from_dict,
     box_from_dict,
     experiment_from_dict,
@@ -76,8 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_positive_int,
             default=None,
-            help="most worker threads for mc at L >= 10000 (default and most: one "
-            "per usable CPU); smaller runs are serial; artifacts do not depend on it",
+            help="most workers for mc (default and most: one per usable CPU): threads "
+            "at L >= 10000, below it forked processes (Linux) of >= 250 replications "
+            "each; "
+            "artifacts do not depend on it",
         )
     return parser
 
@@ -120,7 +125,7 @@ def _require_seed(config: dict, override: int | None) -> int:
         return override
     if "seed" not in config:
         raise ConfigError("config needs 'seed' (or pass --seed)")
-    return int(config["seed"])
+    return _config_int(config["seed"], "seed")
 
 
 def _float_str(x: float) -> str:
@@ -137,7 +142,7 @@ def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
     with _reading("simulate config"):
         model = model_from_dict(config["model"])
         noise = noise_from_dict(config["noise"]) if config.get("noise") else None
-        l_max = int(config["L"])
+        l_max = _config_int(config["L"], "L")
         check_l_max(l_max)
         exact = bool(config.get("exact", False))
         if not exact:
@@ -160,7 +165,7 @@ def _cmd_estimate(config: dict, out: Path) -> None:
         spectrum = read_spectrum_csv(path)
     l_max = spectrum.l_max
     with _reading("estimate config"):
-        if "L" in config and int(config["L"]) != l_max:
+        if "L" in config and _config_int(config["L"], "L") != l_max:
             raise ConfigError(f"config L={config['L']} but {path} has L={l_max}")
         band, _, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
         box = box_from_dict(config.get("box", {}))
@@ -202,9 +207,10 @@ def _cmd_oracle(config: dict, out: Path) -> None:
     # is a config error
     with _reading("oracle config"):
         if "L" in config:
-            l_values = [int(config["L"])]
+            l_values = [_config_int(config["L"], "L")]
         else:
-            l_values = [int(v) for v in config.get("L_values", _ORACLE_L_VALUES)]
+            l_values = config.get("L_values", _ORACLE_L_VALUES)
+            l_values = [_config_int(v, "L_values entry") for v in l_values]
         for l_max in l_values:
             check_l_max(l_max)
         s_full = [float(v) for v in config.get("s_values", _ORACLE_S_FULL)]

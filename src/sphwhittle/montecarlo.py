@@ -11,20 +11,28 @@ boundary are counted in boundary_hits and excluded from moment statistics
 (a diverging design would otherwise destroy every statistic); all
 replications appear in the per-replication table with a status column.
 
-At high L (l_max >= _POOL_MIN_L, 10000) replications run on a thread
-pool, one contiguous range of indices per thread: there numpy spends most
-of a replication in the chi-square draw and band-length passes, which
-release the interpreter lock.  At lower L they run serially, since thread
-hand-offs then cost more than the overlap wins.  The band reductions do not
-call BLAS, and each replication has its own stream, so reports are pure
-functions of the config for any thread count and BLAS build.
+Replications run on up to one worker per usable CPU, one contiguous range
+of indices per worker.  At high L (l_max >= _POOL_MIN_L, 10000) the
+workers are threads: there numpy spends most of a replication in the
+chi-square draw and band-length passes, which release the interpreter lock.
+At lower L thread hand-offs cost more than the overlap wins, so on Linux
+the workers are processes made by os.fork(), each with at least
+_FORK_MIN_REPS (250) replications, since a forked worker costs ~10 ms;
+smaller runs, and all lower-L runs elsewhere, are serial.  The band
+reductions do not call BLAS, and each replication has its own stream, so
+reports are pure functions of the config for any worker count and BLAS
+build.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import numbers
 import os
+import pickle
+import signal
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -99,6 +107,17 @@ _SW_MAX_N = 5000
 # and winning from 10000 (1303 -> 2234, 872 -> 1248) to 20000 (893 -> 1321,
 # 500 -> 869).
 _POOL_MIN_L = 10_000
+
+# Below _POOL_MIN_L, replications run in forked worker processes when each
+# worker gets at least this many.  A worker costs ~10 ms: ~4 ms to fork the
+# parent's ~100 MB and ~5 ms to tear it down.  A run_experiment sweep on the
+# same VM (ms, serial -> 2 forked workers, median of 5 alternated runs;
+# positive design, then debiased) found R = 100 losing at L = 20 to 2000
+# (positive 0.64-0.77x, debiased 0.58-0.91x), R = 250 mixed (0.72-1.56x,
+# 1.00-1.47x), and R = 500, 250 per worker, winning at every L from 20 to
+# 9000 (positive 53.8 -> 50.3 ms at L = 20, 1.07x, up to 1.75x at 9000;
+# debiased 1.24-1.78x, 163 -> 116 ms at L = 2000).
+_FORK_MIN_REPS = 250
 
 
 @dataclass(frozen=True)
@@ -244,15 +263,19 @@ def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCarloReport:
     """Run all replications and assemble the report.
 
-    threads caps the worker threads, which never outnumber the CPUs this
-    process may use (the default) or the replications.  Runs with l_max >=
-    _POOL_MIN_L split the replications into that many contiguous ranges,
-    one per thread, since numpy releases the interpreter lock in the draw
-    and the band passes; smaller runs are serial, where thread hand-offs
-    cost more than they win.  Replication i draws from its own stream
-    SeedSpec(master_seed, i), so the report does not depend on threads;
-    each range seeds its streams in blocks, bit-identical to
-    default_rng(SeedSequence((master_seed, i))).
+    threads caps the workers, which never outnumber the CPUs this process
+    may use (the default) or the replications.  The replications are split
+    into one contiguous range per worker.  With l_max >= _POOL_MIN_L the
+    workers are threads, since numpy releases the interpreter lock in the
+    draw and the band passes.  Below it, on Linux, range 0 runs in this
+    process and each other range in a child made by os.fork(), and a worker
+    gets at least _FORK_MIN_REPS replications, since a fork costs ~10 ms;
+    elsewhere such runs are serial.  An exception raised in a child is
+    re-raised here, a child that ends without reporting raises
+    ChildProcessError, and every child is reaped before this returns.
+    Replication i draws from its own stream SeedSpec(master_seed, i), so
+    the report does not depend on threads; each range seeds its streams in
+    blocks, bit-identical to default_rng(SeedSequence((master_seed, i))).
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -274,18 +297,25 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
             outcomes.append((result.alpha_hat, "boundary" if result.boundary_hit else "ok"))
         return outcomes
 
-    # the CPUs this process may use, where the platform says; more threads
+    # the CPUs this process may use, where the platform says; more workers
     # than that would only add hand-offs
     has_mask = hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
     n = min(threads or cpus, cpus, cfg.replications)
-    if cfg.l_max >= _POOL_MIN_L and n > 1:
-        cuts = [cfg.replications * k // n for k in range(n + 1)]
+    if cfg.l_max < _POOL_MIN_L:
+        # forked workers: each costs ~10 ms, so each needs _FORK_MIN_REPS
+        # replications to gain; serial where the fork path is not used
+        linux = sys.platform == "linux"
+        n = max(1, min(n, cfg.replications // _FORK_MIN_REPS)) if linux else 1
+    cuts = [cfg.replications * k // n for k in range(n + 1)]
+    ranges = list(map(range, cuts[:-1], cuts[1:]))
+    if n == 1:
+        outcomes = replicate(ranges[0])
+    elif cfg.l_max >= _POOL_MIN_L:
         with ThreadPoolExecutor(n) as pool:
-            parts = pool.map(replicate, map(range, cuts[:-1], cuts[1:]))
-            outcomes = [outcome for part in parts for outcome in part]
+            outcomes = [outcome for part in pool.map(replicate, ranges) for outcome in part]
     else:
-        outcomes = replicate(range(cfg.replications))
+        outcomes = _forked(replicate, ranges)
 
     alpha0 = asymptotic_params(cfg.model).alpha0
     factor = normalization_factor(cfg.scheme)
@@ -328,13 +358,96 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     )
 
 
+def _forked(run, ranges: list[range]) -> list:
+    """run(ranges[0]) in this process and run(r) for each later range in a
+    child made by os.fork(); the outcomes, joined in range order.
+
+    A child sends its outcomes, or the exception it raised, pickled through
+    a pipe and ends with os._exit.  An exception from a child is re-raised
+    here; a child that ends without a complete report raises
+    ChildProcessError.  Every child is reaped before this returns or
+    raises, and one still running is killed first.
+    """
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for indices in ranges[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                # Python >= 3.12 warns (DeprecationWarning) on a fork in a
+                # process with more than one thread, which numpy's OpenBLAS
+                # pool makes true.  The child takes no lock those threads
+                # may hold: it makes no BLAS call (the band reductions use
+                # einsum) and ends with os._exit.
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _report(run, indices, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        outcomes = run(ranges[0])
+        for pid, read_end in list(children.items()):
+            data = b"".join(iter(partial(os.read, read_end, 1 << 16), b""))
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            try:
+                ok, part = pickle.loads(data)
+            except Exception:
+                raise ChildProcessError(
+                    f"replication worker {pid} ended without a complete report "
+                    f"(wait status {status})"
+                ) from None
+            if not ok:
+                raise part
+            outcomes += part
+        return outcomes
+    finally:
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _report(run, indices: range, fd: int):
+    """In a forked child: write (True, run(indices)) or (False, the exception
+    it raised) to fd, pickled, and end the process without running exit
+    handlers or flushing stdio buffers inherited from the parent."""
+    status = 1
+    try:
+        # any exception, KeyboardInterrupt included, goes to the parent,
+        # which re-raises it
+        try:
+            report = (True, run(indices))
+        except BaseException as exc:
+            report = (False, exc)
+        with open(fd, "wb") as pipe:
+            pickle.dump(report, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _config_int(value, name: str) -> int:
+    """A config field that counts or seeds: a JSON integer, or an integral
+    float such as 1e4.  A bool, a non-integral number or a string raises
+    ConfigError rather than being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def band_from_dict(d: dict, l_max: int) -> tuple[Band, float | None, dict]:
     """Band rule -> (band, band fraction g or None for full, resolved form)."""
     match d:
         case {"type": "full"}:
             return full_band(l_max), None, {"type": "full"}
         case {"type": "narrow", "L1": l1}:
-            l1 = int(l1)
+            l1 = _config_int(l1, "narrow band L1")
             if not 1 <= l1 <= l_max:
                 raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
             return Band(l1, l_max), 1.0 - l1 / l_max, {"type": "narrow", "L1": l1}
@@ -398,7 +511,7 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     try:
         model = model_from_dict(d["model"])
         noise = noise_from_dict(d["noise"]) if d.get("noise") else None
-        l_max = int(d["L"])
+        l_max = _config_int(d["L"], "L")
         band, band_g, band_resolved = band_from_dict(
             d.get("band", {"type": "full"}), l_max
         )
@@ -410,8 +523,8 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
             model,
             noise,
         )
-        replications = int(d["replications"])
-        master_seed = int(d["seed"])
+        replications = _config_int(d["replications"], "replications")
+        master_seed = _config_int(d["seed"], "seed")
         cfg = ExperimentConfig(
             model=model,
             noise=noise,

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import sphwhittle
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
-from sphwhittle.montecarlo import _POOL_MIN_L
+from sphwhittle.montecarlo import _FORK_MIN_REPS, _POOL_MIN_L
 
 
 def write_config(path, payload) -> str:
@@ -161,10 +161,11 @@ def assert_artifacts_ignore_threads(tmp_path, config: dict) -> None:
 
 class TestMc:
     def test_byte_identical_runs_and_threads(self, tmp_path):
+        # 2 * _FORK_MIN_REPS below _POOL_MIN_L runs on two forked workers;
         # L = _POOL_MIN_L runs on the thread pool
-        for l_max in (150, _POOL_MIN_L):
-            cfg = write_config(tmp_path / "mc.json", mc_config(L=l_max))
-            outs = [tmp_path / f"{l_max}-{name}" for name in "abc"]
+        for l_max, reps in ((150, 40), (150, 2 * _FORK_MIN_REPS), (_POOL_MIN_L, 40)):
+            cfg = write_config(tmp_path / "mc.json", mc_config(L=l_max, replications=reps))
+            outs = [tmp_path / f"{l_max}-{reps}-{name}" for name in "abc"]
             for out, threads in zip(outs, ("1", "1", "4")):
                 rc = main(["mc", "--config", cfg, "--out", str(out), "--threads", threads])
                 assert rc == 0
@@ -178,7 +179,8 @@ class TestMc:
 
     def test_debiased_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
         # the same on debiased spectra, whose searches start with the
-        # one-pass probe of the box edges and midpoint
+        # one-pass probe of the box edges and midpoint: on the thread pool
+        # at L = 20000, and on forked workers at L = 2000
         config = mc_config(
             model={"type": "power_law", "g0": 1.0, "alpha0": 3.0},
             noise={"g_n": 1.0, "gamma": 2.2},
@@ -187,7 +189,12 @@ class TestMc:
             replications=50,
             seed=42,
         )
-        assert_artifacts_ignore_threads(tmp_path, config)
+        for name, overrides in (
+            ("pool", {}),
+            ("fork", {"L": 2000, "replications": 2 * _FORK_MIN_REPS}),
+        ):
+            (tmp_path / name).mkdir()
+            assert_artifacts_ignore_threads(tmp_path / name, dict(config, **overrides))
 
     def test_threads_must_be_positive(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "mc.json", mc_config())
@@ -419,7 +426,19 @@ def _corrupted(draw, valid, keep=frozenset()):
     return config
 
 
+# Configs whose one fault is a count or seed (L, L_values, replications,
+# seed, L1) that is a bool or not integral: each must exit 1 rather than
+# run on a truncated value
+_NOT_INTEGRAL = []
+
+
+def _not_integral(config: dict, csv_text: str | None = None):
+    _NOT_INTEGRAL.append(config)
+    return example(config) if csv_text is None else example(csv_text, config)
+
+
 def _run(subcommand: str, config: dict, csv_text: str | None = None) -> None:
+    rejected = config in _NOT_INTEGRAL
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         if config.get("input") == "<csv>":
@@ -435,6 +454,7 @@ def _run(subcommand: str, config: dict, csv_text: str | None = None) -> None:
     lines = err.getvalue().splitlines()
     assert all(line.startswith("error: ") for line in lines)
     assert bool(lines) == (rc != 0)
+    assert rc == 1 or not rejected
 
 
 _FUZZ = settings(max_examples=60, deadline=None)
@@ -456,6 +476,9 @@ _FUZZ = settings(max_examples=60, deadline=None)
 )
 @example({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 1e18, "seed": 0})
 @example({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 1e19, "seed": 0})
+@_not_integral({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 50.9, "seed": 1})
+@_not_integral({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 50, "seed": 1.9})
+@_not_integral({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": True, "seed": 1})
 def test_simulate_any_config(config):
     _run("simulate", config)
 
@@ -503,6 +526,11 @@ def test_simulate_any_config(config):
 )
 @example(mc_config(L=1e18))
 @example(mc_config(L=1e19))
+@_not_integral(mc_config(L=200.9))
+@_not_integral(mc_config(L=True))
+@_not_integral(mc_config(replications=2.7))
+@_not_integral(mc_config(seed=1.9))
+@_not_integral(mc_config(band={"type": "narrow", "L1": 100.5}))
 def test_mc_any_config(config):
     _run("mc", config)
 
@@ -534,6 +562,8 @@ _CSV = st.one_of(
         )
     ),
 )
+@_not_integral({"input": "<csv>", "L": 3.5}, _VALID_CSV)
+@_not_integral({"input": "<csv>", "band": {"type": "narrow", "L1": 1.5}}, _VALID_CSV)
 def test_estimate_any_config(csv_text, config):
     _run("estimate", config, csv_text)
 
@@ -561,5 +591,7 @@ def test_estimate_any_config(csv_text, config):
 @example({"L": 2, "s_values": [math.inf]})
 @example({"L": 1e18})
 @example({"L_values": [10, 1e19]})
+@_not_integral({"L": 10.5})
+@_not_integral({"L_values": [10, 20.5]})
 def test_oracle_any_config(config):
     _run("oracle", config)

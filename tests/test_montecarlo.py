@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -39,7 +42,8 @@ from sphwhittle import (
     summarize,
     write_report_files,
 )
-from sphwhittle.montecarlo import _POOL_MIN_L
+from sphwhittle import montecarlo
+from sphwhittle.montecarlo import _FORK_MIN_REPS, _POOL_MIN_L
 from sphwhittle.sampling import _SEED_BLOCK
 
 
@@ -142,6 +146,19 @@ class TestExperimentConfig:
             experiment_from_dict({"L": 10})
         with pytest.raises(ConfigError):
             experiment_from_dict(base_config(band={"type": "narrow", "L1": 0}))
+        # counts and seeds are not truncated
+        for overrides in (
+            {"L": 200.9},
+            {"L": True},
+            {"L": "300"},
+            {"replications": 2.7},
+            {"seed": 1.9},
+            {"band": {"type": "narrow", "L1": 250.5}},
+        ):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                experiment_from_dict(base_config(**overrides))
+        cfg, _ = experiment_from_dict(base_config(L=3e2, replications=1e2, seed=9.0))
+        assert (cfg.l_max, cfg.replications, cfg.master_seed) == (300, 100, 9)
 
     def test_experiment_to_dict_infers_band(self):
         cfg, _ = experiment_from_dict(base_config())
@@ -271,8 +288,9 @@ class TestSummarize:
 
 class TestRunExperiment:
     def test_deterministic_and_thread_invariant(self):
+        # 2 * _FORK_MIN_REPS below _POOL_MIN_L runs on two forked workers;
         # L = _POOL_MIN_L runs on the thread pool
-        for l_max, reps in ((300, 100), (_POOL_MIN_L, 20)):
+        for l_max, reps in ((300, 100), (300, 2 * _FORK_MIN_REPS), (_POOL_MIN_L, 20)):
             cfg, resolved = experiment_from_dict(base_config(L=l_max, replications=reps))
             r1 = run_experiment(cfg, threads=1)
             r2 = run_experiment(cfg, threads=1)
@@ -301,8 +319,10 @@ class TestRunExperiment:
             (None, {"L": 20, "replications": _SEED_BLOCK + 1}),
             # on the pool, ranges that do not start at 0
             ({"g_n": 1.0, "gamma": 2.2}, {"L": _POOL_MIN_L, "replications": 6}),
+            # in a forked child, the range from _FORK_MIN_REPS on
+            ({"g_n": 1.0, "gamma": 2.2}, {"replications": 2 * _FORK_MIN_REPS}),
         ],
-        ids=["None", "noise1", "block_plus_one", "pool"],
+        ids=["None", "noise1", "block_plus_one", "pool", "fork"],
     )
     def test_replications_match_public_samplers(self, noise, overrides):
         # run_experiment computes the model spectra once per run and seeds
@@ -322,6 +342,50 @@ class TestRunExperiment:
             except NonPositiveAmplitude:
                 expected = float("nan")
             assert np.array_equal(alpha_hat, expected, equal_nan=True)
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+        reason="forked workers need Linux and two usable CPUs",
+    )
+    @pytest.mark.parametrize("failure", ["child_raises", "child_killed", "parent_raises"])
+    def test_forked_worker_failures(self, monkeypatch, failure):
+        # two forked workers; the child runs the second range.  A child's
+        # exception keeps its type, a killed child is an error, not a hang,
+        # and no child outlives the run
+        parent = os.getpid()
+
+        def fake_estimate(*args):
+            in_child = os.getpid() != parent
+            if failure == "child_raises" and in_child:
+                raise LookupError("raised in the child")
+            if failure == "child_killed" and in_child:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "parent_raises":
+                if in_child:
+                    time.sleep(60)  # the parent must kill it, not wait
+                raise LookupError("raised in the parent")
+            return estimate(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_experiment did not return")
+
+        monkeypatch.setattr(montecarlo, "estimate", fake_estimate)
+        cfg, _ = experiment_from_dict(base_config(L=50, replications=2 * _FORK_MIN_REPS))
+        expected, message = {
+            "child_raises": (LookupError, "raised in the child"),
+            "child_killed": (ChildProcessError, f"wait status {int(signal.SIGKILL)}"),
+            "parent_raises": (LookupError, "raised in the parent"),
+        }[failure]
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(expected, match=message):
+                run_experiment(cfg, threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_mse_identity(self):
         cfg, _ = experiment_from_dict(base_config(replications=64))
