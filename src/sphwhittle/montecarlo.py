@@ -303,8 +303,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     cpus = len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
     n = min(threads or cpus, cpus, cfg.replications)
     if cfg.l_max < _POOL_MIN_L:
-        # forked workers: each costs ~10 ms, so each needs _FORK_MIN_REPS
-        # replications to gain; serial where the fork path is not used
+        # forked workers, on Linux only: each costs ~10 ms, so each gets
+        # at least _FORK_MIN_REPS replications
         linux = sys.platform == "linux"
         n = max(1, min(n, cfg.replications // _FORK_MIN_REPS)) if linux else 1
     cuts = [cfg.replications * k // n for k in range(n + 1)]
