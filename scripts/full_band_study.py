@@ -2,8 +2,8 @@
 
 For each L, runs a Monte Carlo experiment under an exact power law and under
 a first-order perturbed spectrum, then prints the normalized mean, variance,
-and Shapiro-Wilk p-value.  The perturbed rows show the bias term that the
-rate normalization L/(4 c_L) keeps at order one.
+and Shapiro-Wilk p-value.  The perturbed rows use the rate normalization
+1 / b_band, so their mean is near kappa.
 """
 import argparse
 import json
@@ -29,7 +29,7 @@ def run_study(cfg: StudyConfig) -> list[dict]:
         for kappa in (0.0, cfg.kappa):
             if kappa == 0.0:
                 model = {"type": "power_law", "g0": cfg.g0, "alpha0": cfg.alpha0}
-                scheme = {"type": "fullband", "corrected": True}
+                scheme = {"type": "fullband"}
             else:
                 model = {
                     "type": "kappa",

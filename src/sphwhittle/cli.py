@@ -167,7 +167,7 @@ def _cmd_estimate(config: dict, out: Path) -> None:
     with _reading("estimate config"):
         if "L" in config and _config_int(config["L"], "L") != l_max:
             raise ConfigError(f"config L={config['L']} but {path} has L={l_max}")
-        band, _, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
+        band, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
         box = box_from_dict(config.get("box", {}))
     result = estimate(spectrum, band, box)
     _write_json(

@@ -33,6 +33,7 @@ import os
 import pickle
 import signal
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -64,11 +65,7 @@ from .spectrum import (
 )
 from .whittle import (
     Band,
-    FullBand,
-    NarrowBand,
-    NoiseSub,
     NormalizationScheme,
-    Rate,
     SearchBox,
     estimate,
     full_band,
@@ -139,8 +136,9 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 2")
         if self.band.l_hi > self.l_max:
             raise ValueError("band exceeds l_max")
-        if isinstance(self.scheme, NoiseSub) and self.noise is None:
-            raise ValueError("NoiseSub scheme requires a noise model")
+        scheme = self.scheme
+        if (scheme.band, scheme.model, scheme.noise) != (self.band, self.model, self.noise):
+            raise ValueError("scheme must describe the config's band, model and noise")
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
 
@@ -271,8 +269,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     process and each other range in a child made by os.fork(), and a worker
     gets at least _FORK_MIN_REPS replications, since a fork costs ~10 ms;
     elsewhere such runs are serial.  An exception raised in a child is
-    re-raised here, a child that ends without reporting raises
-    ChildProcessError, and every child is reaped before this returns.
+    re-raised here, with the child's traceback as its cause; a child that
+    ends without reporting raises ChildProcessError; and every child is
+    reaped before this returns.
     Replication i draws from its own stream SeedSpec(master_seed, i), so
     the report does not depend on threads; each range seeds its streams in
     blocks, bit-identical to default_rng(SeedSequence((master_seed, i))).
@@ -362,11 +361,13 @@ def _forked(run, ranges: list[range]) -> list:
     """run(ranges[0]) in this process and run(r) for each later range in a
     child made by os.fork(); the outcomes, joined in range order.
 
-    A child sends its outcomes, or the exception it raised, pickled through
-    a pipe and ends with os._exit.  An exception from a child is re-raised
-    here; a child that ends without a complete report raises
-    ChildProcessError.  Every child is reaped before this returns or
-    raises, and one still running is killed first.
+    A child sends its outcomes, or the exception it raised and its
+    formatted traceback, pickled through a pipe and ends with os._exit.  An
+    exception from a child is re-raised here with that text as its cause
+    (a _RemoteTraceback), since pickling drops the frames; a child that
+    ends without a complete report raises ChildProcessError.  Every child
+    is reaped before this returns or raises, and one still running is
+    killed first.
     """
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
@@ -394,14 +395,14 @@ def _forked(run, ranges: list[range]) -> list:
             _, status = os.waitpid(pid, 0)
             os.close(children.pop(pid))
             try:
-                ok, part = pickle.loads(data)
+                ok, part, text = pickle.loads(data)
             except Exception:
                 raise ChildProcessError(
                     f"replication worker {pid} ended without a complete report "
                     f"(wait status {status})"
                 ) from None
             if not ok:
-                raise part
+                raise part from _RemoteTraceback(text)
             outcomes += part
         return outcomes
     finally:
@@ -411,18 +412,23 @@ def _forked(run, ranges: list[range]) -> list:
             os.waitpid(pid, 0)
 
 
+class _RemoteTraceback(Exception):
+    """The traceback of an exception raised in a forked worker, as text."""
+
+
 def _report(run, indices: range, fd: int):
-    """In a forked child: write (True, run(indices)) or (False, the exception
-    it raised) to fd, pickled, and end the process without running exit
-    handlers or flushing stdio buffers inherited from the parent."""
+    """In a forked child: write (True, run(indices), None) or (False, the
+    exception it raised, its formatted traceback) to fd, pickled, and end
+    the process without running exit handlers or flushing stdio buffers
+    inherited from the parent."""
     status = 1
     try:
         # any exception, KeyboardInterrupt included, goes to the parent,
         # which re-raises it
         try:
-            report = (True, run(indices))
+            report = (True, run(indices), None)
         except BaseException as exc:
-            report = (False, exc)
+            report = (False, exc, traceback.format_exc())
         with open(fd, "wb") as pipe:
             pickle.dump(report, pipe)
         status = 0
@@ -441,20 +447,19 @@ def _config_int(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def band_from_dict(d: dict, l_max: int) -> tuple[Band, float | None, dict]:
-    """Band rule -> (band, band fraction g or None for full, resolved form)."""
+def band_from_dict(d: dict, l_max: int) -> tuple[Band, dict]:
+    """Band rule -> (band, resolved form)."""
     match d:
         case {"type": "full"}:
-            return full_band(l_max), None, {"type": "full"}
+            return full_band(l_max), {"type": "full"}
         case {"type": "narrow", "L1": l1}:
             l1 = _config_int(l1, "narrow band L1")
             if not 1 <= l1 <= l_max:
                 raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
-            return Band(l1, l_max), 1.0 - l1 / l_max, {"type": "narrow", "L1": l1}
+            return Band(l1, l_max), {"type": "narrow", "L1": l1}
         case {"type": "narrow", "c_g": c_g}:
             c_g = float(c_g)
-            band = narrow_band(l_max, c_g)
-            return band, c_g / math.log(l_max), {"type": "narrow", "c_g": c_g}
+            return narrow_band(l_max, c_g), {"type": "narrow", "c_g": c_g}
         case {"type": "narrow"}:
             raise ConfigError("narrow band needs 'L1' or 'c_g'")
     raise ConfigError(f"unknown band rule {d!r}")
@@ -472,36 +477,6 @@ def box_from_dict(d: dict) -> SearchBox:
         raise ConfigError(f"bad search box: {exc}") from exc
 
 
-def _scheme_from_dict(
-    d: dict,
-    l_max: int,
-    band_g: float | None,
-    model: SpectrumModel,
-    noise: NoiseModel | None,
-) -> NormalizationScheme:
-    kind = d.get("type")
-    if kind == FullBand.tag:
-        return FullBand(l_max=l_max, corrected=bool(d.get("corrected", False)))
-    if kind == NarrowBand.tag:
-        if band_g is None:
-            raise ConfigError("narrowband scheme requires a narrow band rule")
-        return NarrowBand(l_max=l_max, g=band_g)
-    if kind == NoiseSub.tag:
-        if noise is None:
-            raise ConfigError("noise scheme requires a noise model")
-        params = asymptotic_params(model)
-        return NoiseSub(
-            l_max=l_max,
-            alpha0=params.alpha0,
-            gamma=noise.gamma,
-            g0=params.g0,
-            g_n=noise.g_n,
-        )
-    if kind == Rate.tag:
-        return Rate(l_max=l_max)
-    raise ConfigError(f"unknown scheme type {kind!r}")
-
-
 def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     """Build an ExperimentConfig from its JSON form.
 
@@ -512,17 +487,11 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
         model = model_from_dict(d["model"])
         noise = noise_from_dict(d["noise"]) if d.get("noise") else None
         l_max = _config_int(d["L"], "L")
-        band, band_g, band_resolved = band_from_dict(
-            d.get("band", {"type": "full"}), l_max
-        )
+        band, band_resolved = band_from_dict(d.get("band", {"type": "full"}), l_max)
         box = box_from_dict(d.get("box", {}))
-        scheme = _scheme_from_dict(
-            d.get("scheme", {"type": "fullband", "corrected": False}),
-            l_max,
-            band_g,
-            model,
-            noise,
-        )
+        # a "corrected" key, which older configs carry, has no effect
+        tag = d.get("scheme", {"type": "fullband"}).get("type")
+        scheme = NormalizationScheme(tag, band, model, noise)
         replications = _config_int(d["replications"], "replications")
         master_seed = _config_int(d["seed"], "seed")
         cfg = ExperimentConfig(
@@ -544,13 +513,6 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     return cfg, experiment_to_dict(cfg, band_resolved)
 
 
-def _scheme_to_dict(scheme: NormalizationScheme) -> dict:
-    # the other schemes' fields follow from the model, noise and band
-    if scheme.tag == FullBand.tag:
-        return {"type": scheme.tag, "corrected": scheme.corrected}
-    return {"type": scheme.tag}
-
-
 def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict | None = None) -> dict:
     """JSON form of a config with all defaults expanded."""
     if band_resolved is None:
@@ -568,7 +530,7 @@ def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict | None = None)
             "alpha_max": cfg.box.alpha_max,
             "tol": cfg.box.tol,
         },
-        "scheme": _scheme_to_dict(cfg.scheme),
+        "scheme": {"type": cfg.scheme.tag},
         "replications": cfg.replications,
         "seed": cfg.master_seed,
     }

@@ -22,19 +22,21 @@ a power of two near max |Chat_l| and on l^alpha / l_hi^alpha, so no term
 overflows and alpha_hat does not depend on the spectrum's scale; only a
 g_hat that is itself out of range raises.
 
-Normalization factors scale (alpha_hat - alpha0) so the limit law is N(0,1):
-full band sqrt(2) L / (4 c), narrow band L sqrt(g^3 / 12), and the
-noise-debiased regimes of NoiseSub.  The Rate scheme, L/(4 c_L), targets the
-first-order bias under a kappa perturbation instead of the CLT.  At desk
-scales the empirical bias sign under kappa > 0 is positive.  Each scheme
-class carries its own factor() and its config tag.
+One normalization scales (alpha_hat - alpha0), from the estimator's own
+linearization over the band.  With w_l = 2l+1, c_l = log l - wbar,
+S = sum w_l c_l^2 and r_l = C_N,l / C_l (0 without noise), linearizing the
+score at alpha0 gives alpha_hat - alpha0 ~ -sum w_l c_l eps_l / S, where
+eps_l = Chat_l / C_l - 1 has variance 2 (1 + r_l)^2 / w_l.  The CLT tags
+(fullband, narrowband, noise) multiply by V_band^(-1/2), the inverse root
+of the finite-L sandwich variance V_band = 2 sum w_l (1 + r_l)^2 c_l^2 / S^2;
+the rate tag multiplies by 1 / b_band per unit kappa, S / (-sum w_l c_l / l),
+so a KappaPerturbed model's normalized bias tends to kappa.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
 
 import numpy as np
 
@@ -46,15 +48,18 @@ from .errors import (
     UnsupportedRegime,
 )
 from .sampling import EmpiricalSpectrum
+from .spectrum import (
+    NoiseModel,
+    SpectrumModel,
+    asymptotic_params,
+    noise_values,
+    spectrum_values,
+)
 
 __all__ = [
     "Band",
     "SearchBox",
     "EstimateResult",
-    "FullBand",
-    "NarrowBand",
-    "NoiseSub",
-    "Rate",
     "NormalizationScheme",
     "full_band",
     "narrow_band",
@@ -62,10 +67,7 @@ __all__ = [
     "score",
     "curvature",
     "estimate",
-    "correction_factor",
     "normalization_factor",
-    "noise_variance_constant",
-    "noise_scheme_from_estimate",
     "debiased_variance_ratio",
 ]
 
@@ -454,129 +456,69 @@ def estimate(
     )
 
 
-def correction_factor(l_max: int) -> float:
-    """Finite-sample factor c_L = (1/L) sum_{l<=L} log l / log L, in (0, 1)."""
-    if l_max < 2:
-        raise ValueError("l_max must be >= 2")
-    logs = np.log(np.arange(1, l_max + 1, dtype=float))
-    return float(logs.sum() / (l_max * math.log(l_max)))
+_SCHEME_TAGS = ("fullband", "narrowband", "noise", "rate")
 
 
 @dataclass(frozen=True)
-class FullBand:
-    """CLT factor sqrt(2) L / (4 c); c = c_L when corrected else 1."""
+class NormalizationScheme:
+    """The factor that scales alpha_hat - alpha0, from the estimator's
+    linearization over the band (see the module docstring).
 
-    tag: ClassVar[str] = "fullband"
-    l_max: int
-    corrected: bool = False
-
-    def factor(self) -> float:
-        c = correction_factor(self.l_max) if self.corrected else 1.0
-        return math.sqrt(2.0) * self.l_max / (4.0 * c)
-
-
-@dataclass(frozen=True)
-class NarrowBand:
-    """CLT factor L sqrt(g^3 / 12) for band fraction g in (0, 1)."""
-
-    tag: ClassVar[str] = "narrowband"
-    l_max: int
-    g: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.g < 1:
-            raise ValueError("g must lie in (0, 1)")
-
-    def factor(self) -> float:
-        return self.l_max * math.sqrt(self.g**3 / 12.0)
-
-
-@dataclass(frozen=True)
-class NoiseSub:
-    """Noise-debiased CLT factor; regime selected by u = alpha0 - gamma.
-
-    u < 0 reduces to the noiseless factor, u = 0 carries (1 + g_n/g0)^2,
-    and 0 < u < 1 slows the rate to L^(1-u); u >= 1 is outside the theory
-    and raises UnsupportedRegime.
+    fullband, narrowband and noise give V_band^(-1/2), so the normalized
+    errors tend to N(0, 1); rate gives 1 / b_band per unit kappa, so their
+    mean tends to kappa.  narrowband requires a band above l = 1 and noise a
+    noise model; noise also raises UnsupportedRegime from factor() when
+    alpha0 - gamma >= 1, where the estimator diverges.
     """
 
-    tag: ClassVar[str] = "noise"
-    l_max: int
-    alpha0: float
-    gamma: float
-    g0: float
-    g_n: float
+    tag: str
+    band: Band
+    model: SpectrumModel
+    noise: NoiseModel | None = None
 
     def __post_init__(self) -> None:
-        if not (self.g0 > 0 and self.g_n > 0):
-            raise ValueError("g0 and g_n must be positive")
+        if self.tag not in _SCHEME_TAGS:
+            raise ValueError(f"unknown scheme type {self.tag!r}")
+        if self.tag == "narrowband" and self.band.l_lo == 1:
+            raise ValueError("narrowband scheme requires a narrow band")
+        if self.tag == "noise" and self.noise is None:
+            raise ValueError("noise scheme requires a noise model")
 
     def factor(self) -> float:
-        u = self.alpha0 - self.gamma
-        if u < 0:
-            return math.sqrt(2.0) * self.l_max / 4.0
-        if u == 0:
-            return math.sqrt(2.0) * self.l_max / 4.0 * (1.0 + self.g_n / self.g0) ** 2
-        if u < 1:
-            return (
-                self.l_max ** (1.0 - u)
-                * math.sqrt(2.0)
-                / (4.0 * math.sqrt(noise_variance_constant(u)))
-                * (self.g0 / self.g_n)
-            )
-        raise UnsupportedRegime(
-            f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
-        )
-
-
-@dataclass(frozen=True)
-class Rate:
-    """Bias-rate factor L / (4 c_L) for the kappa-perturbation check."""
-
-    tag: ClassVar[str] = "rate"
-    l_max: int
-
-    def factor(self) -> float:
-        return self.l_max / (4.0 * correction_factor(self.l_max))
-
-
-NormalizationScheme = Union[FullBand, NarrowBand, NoiseSub, Rate]
-
-
-def noise_variance_constant(u: float) -> float:
-    """Variance constant V(u) = (1 + u^2) / (1 + u)^3 for 0 < u < 1.
-
-    In the intermediate noise regime Var(alpha_hat - alpha0) ~
-    8 V(u) (g_n/g0)^2 L^{2(u-1)}, so dividing by sqrt(V) in the NoiseSub
-    factor yields unit asymptotic variance.
-    """
-    if not u > -1:
-        raise ValueError("u must exceed -1")
-    return (1.0 + u * u) / (1.0 + u) ** 3
+        l_lo, l_hi = self.band.l_lo, self.band.l_hi
+        arrays = _band_arrays(l_lo, l_hi)
+        # S = sum w_l c_l^2; ols_weights are w_l c_l
+        s = arrays.ols_den
+        if self.tag == "rate":
+            inverse_l = np.reciprocal(np.arange(l_lo, l_hi + 1, dtype=float))
+            return s / -np.einsum("i,i", arrays.ols_weights, inverse_l)
+        if self.tag == "noise":
+            u = asymptotic_params(self.model).alpha0 - self.noise.gamma
+            if u >= 1:
+                raise UnsupportedRegime(
+                    f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
+                )
+        weights = arrays.w
+        if self.noise is not None:
+            c = spectrum_values(self.model, l_hi)[l_lo - 1 :]
+            r = noise_values(self.noise, l_hi)[l_lo - 1 :] / c
+            weights = weights * (1.0 + r) ** 2
+        v_band = 2.0 * np.einsum("i,i", weights, arrays.basis[2]) / s / s
+        return v_band**-0.5
 
 
 def normalization_factor(scheme: NormalizationScheme) -> float:
-    """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit.
+    """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit, or
+    for a mean of kappa under the rate scheme.
 
-    Raises NonFiniteValue when the scheme's factor overflows or is not a
-    finite number > 0.
+    Raises NonFiniteValue when the factor is not a finite number > 0.
     """
-    try:
-        factor = scheme.factor()
-    except OverflowError as exc:
-        raise NonFiniteValue(f"normalization factor of {scheme} overflows") from exc
+    # an overflowing (1 + r_l)^2 or a zero S gives inf or nan, reported below
+    with np.errstate(all="ignore"):
+        factor = float(scheme.factor())
     if not (math.isfinite(factor) and factor > 0):
-        raise NonFiniteValue(f"normalization factor of {scheme} is {factor}")
+        raise NonFiniteValue(f"{scheme.tag} normalization factor is {factor}")
     return factor
-
-
-def noise_scheme_from_estimate(
-    result: EstimateResult, gamma: float, g_n: float, l_max: int
-) -> NoiseSub:
-    """Plug-in NoiseSub built from estimated (alpha_hat, g_hat)."""
-    return NoiseSub(
-        l_max=l_max, alpha0=result.alpha_hat, gamma=gamma, g0=result.g_hat, g_n=g_n
-    )
 
 
 def debiased_variance_ratio(l: int, c_t: float, c_n: float = 0.0) -> float:

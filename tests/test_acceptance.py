@@ -254,13 +254,15 @@ def test_07_noise_regimes():
         "seed": 701,
     }
     quiet = _run({**base, "noise": {"g_n": 1.0, "gamma": 5.0}, "scheme": {"type": "noise"}})
-    clean = _run({**base, "scheme": {"type": "fullband", "corrected": False}})
+    clean = _run({**base, "scheme": {"type": "fullband"}})
     mid = _run({**base, "noise": {"g_n": 1.0, "gamma": 2.5}, "scheme": {"type": "noise"}})
+    # u = alpha0 - gamma = 0: the noise scales the variance by (1 + g_n/g0)^2
+    equal = _run({**base, "noise": {"g_n": 1.0, "gamma": 3.0}, "scheme": {"type": "noise"}})
     loud = _run(
         {
             **base,
             "noise": {"g_n": 1.0, "gamma": 1.0},
-            "scheme": {"type": "fullband", "corrected": False},
+            "scheme": {"type": "fullband"},
         }
     )
     elapsed = time.time() - start
@@ -269,6 +271,7 @@ def test_07_noise_regimes():
         "quiet": abs(quiet.mean - clean.mean) < 0.05,
         "mid-mean": abs(mid.mean) <= 0.15,
         "mid-var": 0.8 <= mid.variance <= 1.4,
+        "equal-var": 0.85 <= equal.variance <= 1.15,
         "loud": divergence > 0.5,
         "time": elapsed < 180.0,
     }
@@ -279,6 +282,7 @@ def test_07_noise_regimes():
         ok,
         f"gamma=5 mean gap {abs(quiet.mean - clean.mean):.4f}; "
         f"gamma=2.5 mean {mid.mean:.3f} var {mid.variance:.3f}; "
+        f"gamma=3 var {equal.variance:.3f}; "
         f"gamma=1 divergence {divergence:.3f}; {elapsed:.1f}s",
     )
     assert ok, message

@@ -501,7 +501,7 @@ def test_simulate_any_config(config):
     )
 )
 @example(
-    # (1 + g_n/g0)^2 overflows in the noise scheme's factor
+    # (1 + r_l)^2 overflows in the noise scheme's V_band
     {
         "model": {"type": "power_law", "g0": 2.2692664517883865e-226, "alpha0": 1.0},
         "noise": {"g_n": 1.0, "gamma": 1.0},

@@ -17,16 +17,13 @@ from sphwhittle import (
     EmptySample,
     ExactPowerLaw,
     ExperimentConfig,
-    FullBand,
     KappaPerturbed,
-    NarrowBand,
     NoiseModel,
     NonPositiveAmplitude,
-    Rate,
+    NormalizationScheme,
     SampleSizeOutOfRange,
     SearchBox,
     SeedSpec,
-    correction_factor,
     estimate,
     experiment_from_dict,
     experiment_to_dict,
@@ -54,7 +51,7 @@ def base_config(**overrides) -> dict:
         "L": 300,
         "band": {"type": "full"},
         "box": {"alpha_min": 2.01, "alpha_max": 10.0, "tol": 1e-6},
-        "scheme": {"type": "fullband", "corrected": True},
+        "scheme": {"type": "fullband"},
         "replications": 100,
         "seed": 99,
     }
@@ -98,6 +95,17 @@ class TestExperimentConfig:
                 replications=10,
                 master_seed=2**64,
             )
+        with pytest.raises(ValueError, match="scheme must describe"):
+            ExperimentConfig(
+                model=cfg.model,
+                noise=None,
+                l_max=300,
+                band=Band(2, 300),
+                scheme=cfg.scheme,
+                box=cfg.box,
+                replications=10,
+                master_seed=0,
+            )
 
     def test_noise_scheme_requires_noise_model(self):
         with pytest.raises(ConfigError):
@@ -126,14 +134,13 @@ class TestExperimentConfig:
             base_config(band={"type": "narrow", "L1": 250}, scheme={"type": "narrowband"})
         )
         assert cfg.band == Band(250, 300)
-        assert isinstance(cfg.scheme, NarrowBand)
-        assert cfg.scheme.g == pytest.approx(1 - 250 / 300, rel=1e-12)
+        assert cfg.scheme == NormalizationScheme("narrowband", Band(250, 300), cfg.model)
 
         cfg2, _ = experiment_from_dict(
             base_config(band={"type": "narrow", "c_g": 1.0}, scheme={"type": "narrowband"})
         )
         assert cfg2.band == narrow_band(300, 1.0)
-        assert cfg2.scheme.g == pytest.approx(1 / math.log(300), rel=1e-12)
+        assert cfg2.scheme.band == cfg2.band
 
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):
@@ -167,8 +174,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "overrides, scheme",
         [
-            ({}, {"type": "fullband", "corrected": True}),
-            ({"scheme": {"type": "fullband"}}, {"type": "fullband", "corrected": False}),
+            ({}, {"type": "fullband"}),
+            ({"scheme": {"type": "fullband", "corrected": True}}, {"type": "fullband"}),
             (
                 {"band": {"type": "narrow", "L1": 250}, "scheme": {"type": "narrowband"}},
                 {"type": "narrowband"},
@@ -261,7 +268,7 @@ class TestShapiroWilk:
 
 
 class TestSummarize:
-    SCHEME = FullBand(l_max=100, corrected=False)
+    SCHEME = NormalizationScheme("fullband", full_band(100), ExactPowerLaw(2.0, 3.0))
 
     def test_all_exact(self):
         s = summarize([3.0, 3.0, 3.0], 3.0, self.SCHEME)
@@ -350,8 +357,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("failure", ["child_raises", "child_killed", "parent_raises"])
     def test_forked_worker_failures(self, monkeypatch, failure):
         # two forked workers; the child runs the second range.  A child's
-        # exception keeps its type, a killed child is an error, not a hang,
-        # and no child outlives the run
+        # exception keeps its type and its traceback, a killed child is an
+        # error, not a hang, and no child outlives the run
         parent = os.getpid()
 
         def fake_estimate(*args):
@@ -379,11 +386,14 @@ class TestRunExperiment:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(30)
         try:
-            with pytest.raises(expected, match=message):
+            with pytest.raises(expected, match=message) as raised:
                 run_experiment(cfg, threads=2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        if failure == "child_raises":
+            # the child's frames arrive as the cause's text
+            assert "fake_estimate" in str(raised.value.__cause__)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -400,7 +410,7 @@ class TestRunExperiment:
         cfg, _ = experiment_from_dict(
             base_config(
                 noise={"g_n": 1.0, "gamma": 1.0},
-                scheme={"type": "fullband", "corrected": False},
+                scheme={"type": "fullband"},
             )
         )
         report = run_experiment(cfg)

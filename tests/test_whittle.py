@@ -10,25 +10,21 @@ from sphwhittle import (
     DegenerateBand,
     EmpiricalSpectrum,
     ExactPowerLaw,
-    FullBand,
-    NarrowBand,
+    KappaPerturbed,
     NoiseModel,
-    NoiseSub,
     NonFiniteValue,
     NonPositiveAmplitude,
     NonPositiveValue,
-    Rate,
+    NormalizationScheme,
     SearchBox,
     SeedSpec,
     UnsupportedRegime,
-    correction_factor,
     curvature,
     debiased_variance_ratio,
     estimate,
+    experiment_from_dict,
     full_band,
     narrow_band,
-    noise_scheme_from_estimate,
-    noise_variance_constant,
     normalization_factor,
     objective,
     sample_empirical,
@@ -593,6 +589,45 @@ def test_jensen_equality_any_band(l_lo, width, alpha0):
     assert abs(result.alpha_hat - alpha0) < 1e-7
 
 
+# Closed-form limits of the linearized factor, kept as oracles: each test
+# below checks that normalization_factor approaches one as L grows.
+
+
+def correction_factor(l_max: int) -> float:
+    """c_L = (1/L) sum_{l<=L} log l / log L, in (0, 1)."""
+    if l_max < 2:
+        raise ValueError("l_max must be >= 2")
+    logs = np.log(np.arange(1, l_max + 1, dtype=float))
+    return float(logs.sum() / (l_max * math.log(l_max)))
+
+
+def noise_variance_constant(u: float) -> float:
+    """V(u) = (1 + u^2) / (1 + u)^3: for 0 < u < 1,
+    Var(alpha_hat - alpha0) ~ 8 V(u) (g_n/g0)^2 L^(2(u-1))."""
+    if not u > -1:
+        raise ValueError("u must exceed -1")
+    return (1.0 + u * u) / (1.0 + u) ** 3
+
+
+def linearized_variance(band: Band, ratio=lambda l: 0.0) -> float:
+    """V_band = 2 sum w_l (1 + r_l)^2 c_l^2 / S^2, summed term by term."""
+    ls = range(band.l_lo, band.l_hi + 1)
+    w_sum = math.fsum(2 * l + 1 for l in ls)
+    wbar = math.fsum((2 * l + 1) * math.log(l) for l in ls) / w_sum
+    s = math.fsum((2 * l + 1) * (math.log(l) - wbar) ** 2 for l in ls)
+    terms = ((2 * l + 1) * (1 + ratio(l)) ** 2 * (math.log(l) - wbar) ** 2 for l in ls)
+    return 2 * math.fsum(terms) / s**2
+
+
+def factor(tag: str, l_max: int, model=MODEL, noise=None, band=None) -> float:
+    scheme = NormalizationScheme(tag, band or full_band(l_max), model, noise)
+    return normalization_factor(scheme)
+
+
+def noise_factor(l_max: int, gamma: float, g0: float = 2.0, g_n: float = 1.0) -> float:
+    return factor("noise", l_max, ExactPowerLaw(g0, 3.0), NoiseModel(g_n, gamma))
+
+
 class TestCorrectionFactor:
     def test_two_term_value(self):
         assert correction_factor(2) == 0.5
@@ -614,79 +649,110 @@ class TestCorrectionFactor:
 
 class TestNormalizationFactor:
     def test_fullband_uncorrected(self):
-        factor = normalization_factor(FullBand(l_max=2000, corrected=False))
-        assert factor == pytest.approx(math.sqrt(2) * 2000 / 4, rel=1e-14)
-        assert factor == pytest.approx(707.10678, abs=1e-4)
+        # V_band = 2 / S without noise; its limit is sqrt(2) L / 4
+        assert factor("fullband", 2000) == pytest.approx(
+            linearized_variance(full_band(2000)) ** -0.5, rel=1e-12
+        )
+        assert factor("fullband", 2000) == pytest.approx(708.148, abs=1e-3)
+        for l_max in (1000, 10_000, 100_000):
+            ratio = factor("fullband", l_max) / (math.sqrt(2) * l_max / 4)
+            assert 0 < ratio - 1 <= 3.5 / l_max
 
     def test_fullband_corrected(self):
-        factor = normalization_factor(FullBand(l_max=2000, corrected=True))
-        expected = math.sqrt(2) * 2000 / (4 * correction_factor(2000))
-        assert factor == pytest.approx(expected, rel=1e-14)
+        # "corrected" is accepted and has no effect
+        configs = [
+            {
+                "model": {"type": "power_law", "g0": 2.0, "alpha0": 3.0},
+                "L": 2000,
+                "scheme": {"type": "fullband", **corrected},
+                "replications": 2,
+                "seed": 0,
+            }
+            for corrected in ({}, {"corrected": False}, {"corrected": True})
+        ]
+        built = [experiment_from_dict(config) for config in configs]
+        assert built[0] == built[1] == built[2]
+        assert built[0][1]["scheme"] == {"type": "fullband"}
+        assert normalization_factor(built[0][0].scheme) == factor("fullband", 2000)
 
     def test_narrowband(self):
-        factor = normalization_factor(NarrowBand(l_max=2000, g=0.075))
-        assert factor == pytest.approx(2000 * math.sqrt(0.075**3) / math.sqrt(12), rel=1e-13)
-        assert factor == pytest.approx(11.858, abs=1e-3)
+        model = KappaPerturbed(2.0, 4.0, 1.0)
+        value = factor("narrowband", 2000, model, band=Band(1850, 2000))
+        assert value == pytest.approx(
+            linearized_variance(Band(1850, 2000)) ** -0.5, rel=1e-12
+        )
+        assert value == pytest.approx(12.208, abs=1e-3)
+        # L sqrt(g^3 / 12) is a small-g limit: g shrinks as L grows
+        for l_max, g in ((1000, 0.2), (10_000, 0.05), (100_000, 0.01)):
+            band = Band(l_max - round(g * l_max), l_max)
+            g = 1 - band.l_lo / l_max
+            ratio = factor("narrowband", l_max, band=band) / (l_max * math.sqrt(g**3 / 12))
+            assert 0 < ratio - 1 <= 0.3 * g + 2 / (g * l_max)
 
     def test_rate(self):
-        factor = normalization_factor(Rate(l_max=2000))
-        assert factor == pytest.approx(2000 / (4 * correction_factor(2000)), rel=1e-14)
+        # 1 / b_band per unit kappa tends to L / (4 c_L), 1/log L apart
+        for l_max in (1000, 2000, 10_000, 100_000):
+            ratio = factor("rate", l_max) / (l_max / (4 * correction_factor(l_max)))
+            assert 0.95 <= (1 - ratio) * math.log(l_max) <= 1.1
 
     def test_noise_regime_below(self):
-        scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=5.0, g0=2.0, g_n=1.0)
-        assert normalization_factor(scheme) == pytest.approx(math.sqrt(2) * 1000 / 4, rel=1e-14)
+        # u = -2: the noise barely moves the factor below the noiseless one
+        ratio = noise_factor(1000, gamma=5.0) / factor("fullband", 1000)
+        assert 0.999 < ratio < 1
 
     def test_noise_regime_equal(self):
-        scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=3.0, g0=2.0, g_n=1.0)
-        expected = math.sqrt(2) * 1000 / 4 * (1 + 0.5) ** 2
-        assert normalization_factor(scheme) == pytest.approx(expected, rel=1e-14)
+        # u = 0: r_l = g_n/g0 at every l, so V_band scales by (1 + g_n/g0)^2
+        assert noise_factor(1000, gamma=3.0) * 1.5 == pytest.approx(
+            factor("fullband", 1000), rel=1e-13
+        )
+
+    def test_noise_regime_continuous(self):
+        values = [noise_factor(1000, gamma=3.0 - u) for u in (-1e-9, 0.0, 1e-9)]
+        assert values == pytest.approx([values[1]] * 3, rel=1e-6)
 
     def test_noise_regime_intermediate(self):
-        u = 0.5
-        scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=2.5, g0=2.0, g_n=1.0)
-        expected = (
-            1000 ** (1 - u)
-            * math.sqrt(2)
-            / (4 * math.sqrt(noise_variance_constant(u)))
-            * 2.0
+        assert noise_factor(1000, gamma=2.5) == pytest.approx(
+            linearized_variance(full_band(1000), lambda l: 0.5 * l**0.5) ** -0.5,
+            rel=1e-12,
         )
-        assert normalization_factor(scheme) == pytest.approx(expected, rel=1e-14)
+        # the old closed form is the limit, approached like L^-u
+        for u in (0.3, 0.5, 0.8):
+            for l_max in (1000, 10_000, 100_000):
+                limit = (
+                    l_max ** (1 - u)
+                    * math.sqrt(2)
+                    / (4 * math.sqrt(noise_variance_constant(u)))
+                    * 2.0
+                )
+                ratio = noise_factor(l_max, gamma=3.0 - u) / limit
+                assert 0 < 1 - ratio <= 3.5 * l_max**-u
 
     def test_noise_regime_unsupported(self):
-        scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=1.0, g0=2.0, g_n=1.0)
-        with pytest.raises(UnsupportedRegime):
-            normalization_factor(scheme)
+        # u >= 1, where the estimator diverges
+        for gamma in (2.0, 1.0):
+            with pytest.raises(UnsupportedRegime):
+                noise_factor(1000, gamma=gamma)
 
     @pytest.mark.parametrize(
         "gamma, g0, g_n",
         [
-            (3.0, 1e-200, 1.0),  # (1 + g_n/g0)^2 raises OverflowError
-            (2.5, 1e300, 1e-300),  # g0/g_n is inf
-            (2.5, 1e-320, 1e10),  # g0/g_n underflows to 0
+            (3.0, 1e-200, 1.0),  # (1 + r_l)^2 overflows
+            (2.5, 1e-300, 1e10),  # r_l overflows
         ],
     )
     def test_noise_factor_out_of_range(self, gamma, g0, g_n):
-        scheme = NoiseSub(l_max=1000, alpha0=3.0, gamma=gamma, g0=g0, g_n=g_n)
         with pytest.raises(NonFiniteValue):
-            normalization_factor(scheme)
+            noise_factor(1000, gamma, g0, g_n)
 
     def test_all_factors_positive(self):
-        schemes = [
-            FullBand(l_max=100, corrected=True),
-            NarrowBand(l_max=100, g=0.3),
-            Rate(l_max=100),
-            NoiseSub(l_max=100, alpha0=3.0, gamma=2.6, g0=1.0, g_n=0.5),
-        ]
-        for scheme in schemes:
-            assert normalization_factor(scheme) > 0
-
-    def test_plug_in_wrapper(self):
-        spec = sample_empirical(MODEL, 300, SeedSpec(17, 0))
-        result = estimate(spec, full_band(300), SearchBox())
-        scheme = noise_scheme_from_estimate(result, gamma=2.5, g_n=1.0, l_max=300)
-        assert scheme.alpha0 == result.alpha_hat
-        assert scheme.g0 == result.g_hat
-        assert normalization_factor(scheme) > 0
+        noise = NoiseModel(0.5, 2.6)
+        for tag, band in (
+            ("fullband", full_band(100)),
+            ("narrowband", Band(70, 100)),
+            ("rate", full_band(100)),
+            ("noise", full_band(100)),
+        ):
+            assert factor(tag, 100, ExactPowerLaw(1.0, 3.0), noise, band) > 0
 
 
 class TestNoiseConstants:
