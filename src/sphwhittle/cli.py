@@ -3,11 +3,8 @@
 Artifacts are deterministic: JSON and CSV floats use shortest round-trip
 decimals and line endings are "\\n", and they do not depend on --threads.
 mc runs its replications on up to --threads workers (default and most: one
-per usable CPU): threads when L >= 10000, where they overlap in numpy;
-below that, on Linux, forked worker processes with at least 250
-replications each, since thread hand-offs cost more than they win there;
-otherwise serially.  Exit codes: 0 success, 1 config error, 2 numerical
-failure.
+per usable CPU); sphwhittle.montecarlo says when they are forked processes.
+Exit codes: 0 success, 1 config error, 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -79,9 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_positive_int,
             default=None,
-            help="most workers for mc (default and most: one per usable CPU): threads "
-            "at L >= 10000, below it forked processes (Linux) of >= 250 replications "
-            "each; "
+            help="most workers for mc (default and most: one per usable CPU); "
             "artifacts do not depend on it",
         )
     return parser

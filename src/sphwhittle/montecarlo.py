@@ -12,16 +12,13 @@ boundary are counted in boundary_hits and excluded from moment statistics
 replications appear in the per-replication table with a status column.
 
 Replications run on up to one worker per usable CPU, one contiguous range
-of indices per worker.  At high L (l_max >= _POOL_MIN_L, 10000) the
-workers are threads: there numpy spends most of a replication in the
-chi-square draw and band-length passes, which release the interpreter lock.
-At lower L thread hand-offs cost more than the overlap wins, so on Linux
-the workers are processes made by os.fork(), each with at least
-_FORK_MIN_REPS (250) replications, since a forked worker costs ~10 ms;
-smaller runs, and all lower-L runs elsewhere, are serial.  The band
-reductions do not call BLAS, and each replication has its own stream, so
-reports are pure functions of the config for any worker count and BLAS
-build.
+of indices per worker.  On Linux the first range runs in this process and
+each other range in a child made by os.fork(); a worker costs a few
+milliseconds, so each gets at least _FORK_MIN_WORK (2e5) band terms,
+counted as its replications times l_max, and smaller runs, like every run
+on other platforms, are serial.  The band reductions do not call BLAS, and
+each replication has its own stream, so reports are pure functions of the
+config for any worker count and BLAS build.
 """
 from __future__ import annotations
 
@@ -34,13 +31,12 @@ import pickle
 import signal
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import (
     AllReplicationsFailed,
@@ -96,25 +92,14 @@ DEFAULT_CUTPOINTS = (-1.96, -1.0, -0.68, 0.0, 0.68, 1.0, 1.96)
 
 _SW_MAX_N = 5000
 
-# Replications run on threads from this L up.  A run_experiment sweep on a
-# 2-vCPU VM (replications per second, serial -> 2 threads, median of 5
-# alternated runs; the mc-large design, and mc-noise's debiased one) found
-# the pool losing at L = 2000 (positive 3889 -> 2790, debiased 2881 -> 1922)
-# to interpreter-lock hand-offs, mixed at 5000 (2200 -> 2584, 1733 -> 1628)
-# and winning from 10000 (1303 -> 2234, 872 -> 1248) to 20000 (893 -> 1321,
-# 500 -> 869).
-_POOL_MIN_L = 10_000
-
-# Below _POOL_MIN_L, replications run in forked worker processes when each
-# worker gets at least this many.  A worker costs ~10 ms: ~4 ms to fork the
-# parent's ~100 MB and ~5 ms to tear it down.  A run_experiment sweep on the
-# same VM (ms, serial -> 2 forked workers, median of 5 alternated runs;
-# positive design, then debiased) found R = 100 losing at L = 20 to 2000
-# (positive 0.64-0.77x, debiased 0.58-0.91x), R = 250 mixed (0.72-1.56x,
-# 1.00-1.47x), and R = 500, 250 per worker, winning at every L from 20 to
-# 9000 (positive 53.8 -> 50.3 ms at L = 20, 1.07x, up to 1.75x at 9000;
-# debiased 1.24-1.78x, 163 -> 116 ms at L = 2000).
-_FORK_MIN_REPS = 250
+# Forked workers run when each gets at least this many band terms
+# (replications x l_max).  A run_experiment sweep in a numpy-only process, on
+# a 2-vCPU VM (serial -> 2 forked workers, medians of 7-25 alternated runs
+# per cell, positive and debiased designs at L = 200, 2000 and 20000) found
+# two workers losing in every cell at 5e4 terms each (0.61-0.98x), winning
+# 5 of 16 cells at 1e5 (0.48-1.55x), 10 of 16 at 2e5 (0.68-1.44x) and
+# 6 of 6 at 4e5 (1.09-1.45x).  A fork, pipe and reap costs 5-10 ms there.
+_FORK_MIN_WORK = 200_000
 
 
 @dataclass(frozen=True)
@@ -223,17 +208,65 @@ def quantile_frequencies(
 
 
 def shapiro_wilk(samples) -> tuple[float, float]:
-    """Shapiro-Wilk W and p-value (Royston's 1995 approximation).
+    """Shapiro-Wilk W and p-value (Royston 1995, algorithm AS R94).
 
-    Valid for 3 <= n <= 5000 non-degenerate samples.
+    Valid for 3 <= n <= 5000 non-degenerate samples.  W is the squared
+    correlation of the sorted samples with weights built from the normal
+    scores Phi^-1((i - 3/8) / (n + 1/4)); p comes from the exact law at
+    n = 3 and from Royston's normal approximation of log(1 - W) above it.
     """
-    samples = np.asarray(samples, dtype=float)
-    if not 3 <= samples.size <= _SW_MAX_N:
-        raise SampleSizeOutOfRange(f"need 3 <= n <= {_SW_MAX_N}, got {samples.size}")
-    if np.ptp(samples) == 0:
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    if not 3 <= n <= _SW_MAX_N:
+        raise SampleSizeOutOfRange(f"need 3 <= n <= {_SW_MAX_N}, got {n}")
+    if x[-1] == x[0]:
         raise DegenerateSample("all sample values are equal")
-    res = _scipy_stats.shapiro(samples)
-    return float(res.statistic), float(res.pvalue)
+    if n == 3:
+        half = np.array([math.sqrt(0.5)])
+    else:
+        # upper-half scores, largest first, from their lower-tail mirrors;
+        # the polynomials (highest power first) correct the one (n <= 5) or
+        # two most extreme weights
+        inv = NormalDist().inv_cdf
+        m = np.array([-inv((i - 0.375) / (n + 0.25)) for i in range(1, n // 2 + 1)])
+        u = 1.0 / math.sqrt(n)
+        half = m / math.sqrt(2.0 * float(np.einsum("i,i->", m, m)))
+        half[0] += np.polyval((-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0), u)
+        k = 1
+        if n > 5:
+            half[1] += np.polyval((-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0), u)
+            k = 2
+        # the other weights are the scores, scaled to what is left of the
+        # unit norm
+        left = 1.0 - 2.0 * float(np.einsum("i,i->", half[:k], half[:k]))
+        half[k:] = m[k:] * math.sqrt(left / (2.0 * float(np.einsum("i,i->", m[k:], m[k:]))))
+    a = np.concatenate((-half, np.zeros(n % 2), half[::-1]))
+    a -= a.mean()
+    # shifted by a middle value first, so a large common offset costs no digits
+    xs = (x - x[n // 2]) / (x[-1] - x[0])
+    xs -= xs.mean()
+    ssa = float(np.einsum("i,i->", a, a))
+    ssx = float(np.einsum("i,i->", xs, xs))
+    sax = float(np.einsum("i,i->", a, xs))
+    # 1 - W in a form that keeps its digits when W is near 1
+    r = math.sqrt(ssa * ssx)
+    w1 = max((r - sax) * (r + sax) / (ssa * ssx), 0.0)
+    if n == 3:
+        p = 6.0 / math.pi * (math.asin(math.sqrt(1.0 - w1)) - math.pi / 3.0)
+        return 1.0 - w1, min(max(p, 0.0), 1.0)
+    # w1 = 0 is a perfect fit (p = 1); a NaN sample keeps w1 NaN
+    y = math.log(w1) if w1 else -math.inf
+    if n <= 11:
+        # Royston sets p = 1e-99 when y >= gamma; W >= 0.63 at n = 4 and
+        # gamma > 0 from n = 5 keep y below it
+        y = -math.log(-2.273 + 0.459 * n - y)
+        mu = np.polyval((-6.714e-4, 0.025054, -0.39978, 0.5440), n)
+        sigma = math.exp(np.polyval((-0.0020322, 0.062767, -0.77857, 1.3822), n))
+    else:
+        mu = np.polyval((0.0038915, -0.083751, -0.31082, -1.5861), math.log(n))
+        sigma = math.exp(np.polyval((0.0030302, -0.082676, -0.4803), math.log(n)))
+    # the upper tail through erfc, which 1 - Phi would round to 0 past 1e-16
+    return 1.0 - w1, 0.5 * math.erfc((y - mu) / (sigma * math.sqrt(2.0)))
 
 
 def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary:
@@ -262,19 +295,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     """Run all replications and assemble the report.
 
     threads caps the workers, which never outnumber the CPUs this process
-    may use (the default) or the replications.  The replications are split
-    into one contiguous range per worker.  With l_max >= _POOL_MIN_L the
-    workers are threads, since numpy releases the interpreter lock in the
-    draw and the band passes.  Below it, on Linux, range 0 runs in this
-    process and each other range in a child made by os.fork(), and a worker
-    gets at least _FORK_MIN_REPS replications, since a fork costs ~10 ms;
-    elsewhere such runs are serial.  An exception raised in a child is
+    may use (the default) or the replications; the module docstring says
+    when they are forked processes.  An exception raised in a child is
     re-raised here, with the child's traceback as its cause; a child that
     ends without reporting raises ChildProcessError; and every child is
-    reaped before this returns.
-    Replication i draws from its own stream SeedSpec(master_seed, i), so
-    the report does not depend on threads; each range seeds its streams in
-    blocks, bit-identical to default_rng(SeedSequence((master_seed, i))).
+    reaped before this returns.  Replication i draws from its own stream
+    SeedSpec(master_seed, i), so the report does not depend on threads;
+    each range seeds its streams in blocks, bit-identical to
+    default_rng(SeedSequence((master_seed, i))).
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -300,21 +328,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     # than that would only add hand-offs
     has_mask = hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
-    n = min(threads or cpus, cpus, cfg.replications)
-    if cfg.l_max < _POOL_MIN_L:
-        # forked workers, on Linux only: each costs ~10 ms, so each gets
-        # at least _FORK_MIN_REPS replications
-        linux = sys.platform == "linux"
-        n = max(1, min(n, cfg.replications // _FORK_MIN_REPS)) if linux else 1
-    cuts = [cfg.replications * k // n for k in range(n + 1)]
-    ranges = list(map(range, cuts[:-1], cuts[1:]))
-    if n == 1:
-        outcomes = replicate(ranges[0])
-    elif cfg.l_max >= _POOL_MIN_L:
-        with ThreadPoolExecutor(n) as pool:
-            outcomes = [outcome for part in pool.map(replicate, ranges) for outcome in part]
+    work = cfg.replications * cfg.l_max
+    n = min(threads or cpus, cpus, cfg.replications, work // _FORK_MIN_WORK)
+    if n < 2 or sys.platform != "linux":
+        outcomes = replicate(range(cfg.replications))
     else:
-        outcomes = _forked(replicate, ranges)
+        cuts = [cfg.replications * k // n for k in range(n + 1)]
+        outcomes = _forked(replicate, list(map(range, cuts[:-1], cuts[1:])))
 
     alpha0 = asymptotic_params(cfg.model).alpha0
     factor = normalization_factor(cfg.scheme)

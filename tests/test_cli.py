@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import sphwhittle
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
-from sphwhittle.montecarlo import _FORK_MIN_REPS, _POOL_MIN_L
+from sphwhittle.montecarlo import _FORK_MIN_WORK
 
 
 def write_config(path, payload) -> str:
@@ -161,9 +161,8 @@ def assert_artifacts_ignore_threads(tmp_path, config: dict) -> None:
 
 class TestMc:
     def test_byte_identical_runs_and_threads(self, tmp_path):
-        # 2 * _FORK_MIN_REPS below _POOL_MIN_L runs on two forked workers;
-        # L = _POOL_MIN_L runs on the thread pool
-        for l_max, reps in ((150, 40), (150, 2 * _FORK_MIN_REPS), (_POOL_MIN_L, 40)):
+        # serial at L = 150; forked workers at L = 500 and at L = 20000
+        for l_max, reps in ((150, 40), (500, 2 * _FORK_MIN_WORK // 500), (20000, 40)):
             cfg = write_config(tmp_path / "mc.json", mc_config(L=l_max, replications=reps))
             outs = [tmp_path / f"{l_max}-{reps}-{name}" for name in "abc"]
             for out, threads in zip(outs, ("1", "1", "4")):
@@ -173,14 +172,14 @@ class TestMc:
 
     def test_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
         # a BLAS reduction's rounding depends on its thread count past ~1e4
-        # entries; the band reductions must not call BLAS, and the pool must
-        # not change any replication
+        # entries; the band reductions must not call BLAS, and the forked
+        # workers must not change any replication
         assert_artifacts_ignore_threads(tmp_path, mc_config(L=20000, replications=50, seed=42))
 
     def test_debiased_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
         # the same on debiased spectra, whose searches start with the
-        # one-pass probe of the box edges and midpoint: on the thread pool
-        # at L = 20000, and on forked workers at L = 2000
+        # one-pass probe of the box edges and midpoint: on forked workers at
+        # L = 20000 and at L = 2000
         config = mc_config(
             model={"type": "power_law", "g0": 1.0, "alpha0": 3.0},
             noise={"g_n": 1.0, "gamma": 2.2},
@@ -190,8 +189,8 @@ class TestMc:
             seed=42,
         )
         for name, overrides in (
-            ("pool", {}),
-            ("fork", {"L": 2000, "replications": 2 * _FORK_MIN_REPS}),
+            ("fork_l20000", {}),
+            ("fork", {"L": 2000, "replications": 2 * _FORK_MIN_WORK // 2000}),
         ):
             (tmp_path / name).mkdir()
             assert_artifacts_ignore_threads(tmp_path / name, dict(config, **overrides))
@@ -225,6 +224,72 @@ class TestMc:
             mc_config(box={"alpha_min": 8.0, "alpha_max": 10.0, "tol": 1e-6}),
         )
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
+
+
+# Runs in a fresh interpreter: each argv of the JSON list in sys.argv[1]
+# through cli.main, with every import of scipy refused.
+_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, Refuse())
+from sphwhittle.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was imported")
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # the runtime needs numpy only: every subcommand, mc on two workers
+        # at L = 2000 and at L = 20000 among them, runs where scipy cannot
+        # be imported and writes the bytes it writes in this process
+        model = {"type": "power_law", "g0": 2.0, "alpha0": 3.0}
+        sim = write_config(tmp_path / "sim.json", {"model": model, "L": 2000, "seed": 3})
+        spectrum = tmp_path / "here" / "simulate" / "spectrum.csv"
+        est = write_config(tmp_path / "est.json", {"input": str(spectrum)})
+        oracle = write_config(tmp_path / "oracle.json", {"L": 1000, "narrow_s_values": []})
+        commands = {
+            "simulate": ["simulate", "--config", sim],
+            "estimate": ["estimate", "--config", est],
+            "oracle": ["oracle", "--config", oracle],
+        }
+        for l_max in (2000, 20000):
+            # replications enough for two forked workers
+            config = mc_config(L=l_max, replications=2 * _FORK_MIN_WORK // l_max)
+            mc = write_config(tmp_path / f"mc{l_max}.json", config)
+            commands[f"mc{l_max}"] = ["mc", "--config", mc, "--threads", "2"]
+
+        def argvs(side: str) -> list[list[str]]:
+            return [[*argv, "--out", str(tmp_path / side / name)] for name, argv in commands.items()]
+
+        for argv in argvs("here"):
+            assert main(argv) == 0
+        src = str(Path(sphwhittle.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs("there"))],
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+            timeout=600,
+        )
+        for name in commands:
+            here = sorted((tmp_path / "here" / name).iterdir())
+            there = sorted((tmp_path / "there" / name).iterdir())
+            assert [p.name for p in there] == [p.name for p in here]
+            assert [p.read_bytes() for p in there] == [p.read_bytes() for p in here]
 
 
 class TestOracle:

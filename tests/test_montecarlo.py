@@ -4,10 +4,12 @@ import os
 import signal
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from sphwhittle import (
     AllReplicationsFailed,
@@ -40,8 +42,18 @@ from sphwhittle import (
     write_report_files,
 )
 from sphwhittle import montecarlo
-from sphwhittle.montecarlo import _FORK_MIN_REPS, _POOL_MIN_L
+from sphwhittle.montecarlo import _FORK_MIN_WORK
 from sphwhittle.sampling import _SEED_BLOCK
+
+needs_fork = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="forked workers need Linux and two usable CPUs",
+)
+
+
+def pid_estimate(*args) -> SimpleNamespace:
+    """An estimate stub whose alpha_hat is the pid of the process that ran it."""
+    return SimpleNamespace(alpha_hat=float(os.getpid()), boundary_hit=False)
 
 
 def base_config(**overrides) -> dict:
@@ -258,6 +270,26 @@ class TestShapiroWilk:
                 passes += 1
         assert passes >= 90
 
+    @pytest.mark.parametrize("kind", ["normal", "exponential", "uniform"])
+    def test_matches_scipy(self, kind):
+        # every branch of AS R94: n = 3 (exact law), 4-5 (one corrected
+        # weight), 6-11 (transformed 1 - W) and 12 up to the cap.  The
+        # normal scores (statistics.NormalDist against scipy's compiled
+        # routine) set the gap; over these draws the largest measured were
+        # |dW| 1.3e-9 and a relative |dp| of 1.7e-6.  The exponential draws
+        # at n = 500 and 5000 reach p < 1e-21 and p < 1e-58, where 1 - Phi
+        # would round to 0
+        for n in [*range(3, 40), 50, 100, 257, 500, 1000, 2000, 4999, 5000]:
+            for seed in range(4):
+                draws = getattr(np.random.default_rng(1000 * n + seed), kind)(size=n)
+                w, p = shapiro_wilk(draws)
+                ref = stats.shapiro(draws)
+                assert abs(w - ref.statistic) <= 2e-9
+                assert abs(p - ref.pvalue) <= 5e-6 * ref.pvalue
+
+    def test_nan_propagates(self):
+        assert all(map(math.isnan, shapiro_wilk([1.0, 2.0, math.nan, 4.0])))
+
     def test_chi_squared_draws_fail(self):
         rejections = 0
         for seed in range(100):
@@ -295,25 +327,19 @@ class TestSummarize:
 
 class TestRunExperiment:
     def test_deterministic_and_thread_invariant(self):
-        # 2 * _FORK_MIN_REPS below _POOL_MIN_L runs on two forked workers;
-        # L = _POOL_MIN_L runs on the thread pool
-        for l_max, reps in ((300, 100), (300, 2 * _FORK_MIN_REPS), (_POOL_MIN_L, 20)):
+        # serial at L = 300; forked workers at L = 500 and at L = 20000
+        for l_max, reps in ((300, 100), (500, 2 * _FORK_MIN_WORK // 500), (20000, 20)):
             cfg, resolved = experiment_from_dict(base_config(L=l_max, replications=reps))
             r1 = run_experiment(cfg, threads=1)
             r2 = run_experiment(cfg, threads=1)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)  # switch threads as often as possible
-            try:
-                r4 = run_experiment(cfg, threads=4)
-            finally:
-                sys.setswitchinterval(interval)
+            r4 = run_experiment(cfg, threads=4)
             d1 = json.dumps(report_to_dict(r1, resolved), sort_keys=True)
             d2 = json.dumps(report_to_dict(r2, resolved), sort_keys=True)
             d4 = json.dumps(report_to_dict(r4, resolved), sort_keys=True)
             assert d1 == d2 == d4
 
     def test_threads_must_be_positive(self):
-        cfg, _ = experiment_from_dict(base_config(L=_POOL_MIN_L, replications=2))
+        cfg, _ = experiment_from_dict(base_config(L=20000, replications=2))
         with pytest.raises(ValueError):
             run_experiment(cfg, threads=0)
 
@@ -324,12 +350,12 @@ class TestRunExperiment:
             ({"g_n": 1.0, "gamma": 2.2}, {}),
             # one stream more than a seeding block
             (None, {"L": 20, "replications": _SEED_BLOCK + 1}),
-            # on the pool, ranges that do not start at 0
-            ({"g_n": 1.0, "gamma": 2.2}, {"L": _POOL_MIN_L, "replications": 6}),
-            # in a forked child, the range from _FORK_MIN_REPS on
-            ({"g_n": 1.0, "gamma": 2.2}, {"replications": 2 * _FORK_MIN_REPS}),
+            # in a forked child at L = 20000, the second half of the indices
+            ({"g_n": 1.0, "gamma": 2.2}, {"L": 20000, "replications": 2 * _FORK_MIN_WORK // 20000}),
+            # in a forked child at L = 500, the second half of the indices
+            ({"g_n": 1.0, "gamma": 2.2}, {"L": 500, "replications": 2 * _FORK_MIN_WORK // 500}),
         ],
-        ids=["None", "noise1", "block_plus_one", "pool", "fork"],
+        ids=["None", "noise1", "block_plus_one", "fork_l20000", "fork"],
     )
     def test_replications_match_public_samplers(self, noise, overrides):
         # run_experiment computes the model spectra once per run and seeds
@@ -350,10 +376,7 @@ class TestRunExperiment:
                 expected = float("nan")
             assert np.array_equal(alpha_hat, expected, equal_nan=True)
 
-    @pytest.mark.skipif(
-        sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
-        reason="forked workers need Linux and two usable CPUs",
-    )
+    @needs_fork
     @pytest.mark.parametrize("failure", ["child_raises", "child_killed", "parent_raises"])
     def test_forked_worker_failures(self, monkeypatch, failure):
         # two forked workers; the child runs the second range.  A child's
@@ -377,7 +400,7 @@ class TestRunExperiment:
             raise TimeoutError("run_experiment did not return")
 
         monkeypatch.setattr(montecarlo, "estimate", fake_estimate)
-        cfg, _ = experiment_from_dict(base_config(L=50, replications=2 * _FORK_MIN_REPS))
+        cfg, _ = experiment_from_dict(base_config(L=500, replications=2 * _FORK_MIN_WORK // 500))
         expected, message = {
             "child_raises": (LookupError, "raised in the child"),
             "child_killed": (ChildProcessError, f"wait status {int(signal.SIGKILL)}"),
@@ -396,6 +419,31 @@ class TestRunExperiment:
             assert "fake_estimate" in str(raised.value.__cause__)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_fork_cut_is_work_per_worker(self, monkeypatch):
+        # two workers fork once each gets _FORK_MIN_WORK band terms
+        # (replications x l_max), and one replication less runs serially
+        monkeypatch.setattr(montecarlo, "estimate", pid_estimate)
+        reps = 2 * _FORK_MIN_WORK // 500
+        for replications, workers in ((reps - 1, 1), (reps, 2)):
+            cfg, _ = experiment_from_dict(base_config(L=500, replications=replications))
+            pids = set(run_experiment(cfg, threads=2).all_alpha_hats)
+            assert os.getpid() in pids
+            assert len(pids) == workers
+
+    def test_serial_off_linux(self, monkeypatch, tmp_path):
+        # elsewhere than Linux a run that would fork is serial, with the
+        # same bytes
+        cfg, resolved = experiment_from_dict(
+            base_config(L=500, replications=2 * _FORK_MIN_WORK // 500)
+        )
+        linux = write_report_files(run_experiment(cfg, threads=2), resolved, tmp_path / "linux")
+        monkeypatch.setattr(sys, "platform", "darwin")
+        other = write_report_files(run_experiment(cfg, threads=2), resolved, tmp_path / "other")
+        assert [p.read_bytes() for p in other] == [p.read_bytes() for p in linux]
+        monkeypatch.setattr(montecarlo, "estimate", pid_estimate)
+        assert set(run_experiment(cfg, threads=2).all_alpha_hats) == {os.getpid()}
 
     def test_mse_identity(self):
         cfg, _ = experiment_from_dict(base_config(replications=64))
