@@ -9,17 +9,15 @@ Exit codes: 0 success, 1 config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
+from ._files import config_int, reading_config, to_json, write_csv, write_json
 from .asymptotics import k_factor, u_limit, z_fullband, z_limit_fullband, z_narrowband
 from .errors import NumericalError, ConfigError, SphwhittleError
 from .montecarlo import (
-    _config_int,
     band_from_dict,
     box_from_dict,
     experiment_from_dict,
@@ -71,14 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--threads",
-            type=_positive_int,
-            default=None,
-            help="most workers for mc (default and most: one per usable CPU); "
-            "artifacts do not depend on it",
-        )
+        if name in ("simulate", "mc"):
+            p.add_argument("--seed", type=int, help="override config seed")
+        if name == "mc":
+            p.add_argument(
+                "--threads",
+                type=_positive_int,
+                help="most workers (default and most: one per usable CPU); "
+                "artifacts do not depend on it",
+            )
     return parser
 
 
@@ -104,44 +103,15 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-@contextlib.contextmanager
-def _reading(what: str):
-    """Map the errors a malformed config raises while it is read to ConfigError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"{what} missing key {exc}") from exc
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _require_seed(config: dict, override: int | None) -> int:
-    if override is not None:
-        return override
-    if "seed" not in config:
-        raise ConfigError("config needs 'seed' (or pass --seed)")
-    return _config_int(config["seed"], "seed")
-
-
-def _float_str(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _cmd_simulate(config: dict, out: Path, seed_override: int | None) -> None:
-    with _reading("simulate config"):
+def _cmd_simulate(config: dict, out: Path) -> None:
+    with reading_config("simulate config"):
         model = model_from_dict(config["model"])
         noise = noise_from_dict(config["noise"]) if config.get("noise") else None
-        l_max = _config_int(config["L"], "L")
+        l_max = config_int(config["L"], "L")
         check_l_max(l_max)
         exact = bool(config.get("exact", False))
         if not exact:
-            seed = SeedSpec(_require_seed(config, seed_override), 0)
+            seed = SeedSpec(config_int(config["seed"], "seed"), 0)
     if exact:
         spectrum = EmpiricalSpectrum(spectrum_values(model, l_max))
     else:
@@ -156,28 +126,19 @@ def _cmd_estimate(config: dict, out: Path) -> None:
     path = config.get("input")
     if not isinstance(path, str):
         raise ConfigError("estimate config needs 'input' (spectrum CSV path)")
-    with _reading(f"spectrum CSV {path}"):
+    with reading_config(f"spectrum CSV {path}"):
         spectrum = read_spectrum_csv(path)
     l_max = spectrum.l_max
-    with _reading("estimate config"):
-        if "L" in config and _config_int(config["L"], "L") != l_max:
+    with reading_config("estimate config"):
+        if "L" in config and config_int(config["L"], "L") != l_max:
             raise ConfigError(f"config L={config['L']} but {path} has L={l_max}")
         band, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
         box = box_from_dict(config.get("box", {}))
     result = estimate(spectrum, band, box)
-    _write_json(
+    write_json(
         out / "estimate.json",
         {
-            "config": {
-                "input": path,
-                "L": l_max,
-                "band": band_resolved,
-                "box": {
-                    "alpha_min": box.alpha_min,
-                    "alpha_max": box.alpha_max,
-                    "tol": box.tol,
-                },
-            },
+            "config": {"input": path, "L": l_max, "band": band_resolved, "box": to_json(box)},
             "alpha_hat": result.alpha_hat,
             "g_hat": result.g_hat,
             "objective": result.objective,
@@ -189,9 +150,7 @@ def _cmd_estimate(config: dict, out: Path) -> None:
     )
 
 
-def _cmd_mc(config: dict, out: Path, seed_override: int | None, threads: int | None) -> None:
-    if seed_override is not None:
-        config = dict(config, seed=seed_override)
+def _cmd_mc(config: dict, out: Path, threads: int | None) -> None:
     cfg, resolved = experiment_from_dict(config)
     write_report_files(run_experiment(cfg, threads), resolved, out)
 
@@ -200,12 +159,12 @@ def _cmd_oracle(config: dict, out: Path) -> None:
     rows = []
     # the table is a function of the config alone: a value it cannot take
     # is a config error
-    with _reading("oracle config"):
+    with reading_config("oracle config"):
         if "L" in config:
-            l_values = [_config_int(config["L"], "L")]
+            l_values = [config_int(config["L"], "L")]
         else:
             l_values = config.get("L_values", _ORACLE_L_VALUES)
-            l_values = [_config_int(v, "L_values entry") for v in l_values]
+            l_values = [config_int(v, "L_values entry") for v in l_values]
         for l_max in l_values:
             check_l_max(l_max)
         s_full = [float(v) for v in config.get("s_values", _ORACLE_S_FULL)]
@@ -223,19 +182,10 @@ def _cmd_oracle(config: dict, out: Path) -> None:
                 ratio = z_narrowband(l_max, g, s) / (l_max ** (4 + 2 * s) * g**4) / target
                 rows.append([l_max, s, g, ratio, target])
 
-    with open(out / "oracle.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["L", "s", "g", "z_over_limit", "target"])
-        for l_max, *floats in rows:
-            writer.writerow([l_max, *map(_float_str, floats)])
-
+    write_csv(out / "oracle.csv", ["L", "s", "g", "z_over_limit", "target"], rows)
     # u_limit has its lone zero at 0; the table covers (-1.9, 5] in 1e-3 steps
-    with open(out / "ulimit.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "u_limit"])
-        for k in range(-1899, 5001):
-            x = k / 1000
-            writer.writerow([_float_str(x), _float_str(u_limit(x))])
+    xs = [k / 1000 for k in range(-1899, 5001)]
+    write_csv(out / "ulimit.csv", ["x", "u_limit"], ((x, u_limit(x)) for x in xs))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,13 +197,15 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         config = _load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            config["seed"] = args.seed
         out = _out_dir(args.out)
         if args.subcommand == "simulate":
-            _cmd_simulate(config, out, args.seed)
+            _cmd_simulate(config, out)
         elif args.subcommand == "estimate":
             _cmd_estimate(config, out)
         elif args.subcommand == "mc":
-            _cmd_mc(config, out, args.seed, args.threads)
+            _cmd_mc(config, out, args.threads)
         else:
             _cmd_oracle(config, out)
     except NumericalError as exc:

@@ -22,10 +22,7 @@ config for any worker count and BLAS build.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -38,6 +35,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from ._files import config_int, from_json, reading_config, to_json, write_csv, write_json
 from .errors import (
     AllReplicationsFailed,
     ConfigError,
@@ -46,7 +44,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import _draw_debiased, _draw_empirical, _observed, _stream_generators
+from .sampling import SeedSpec, _draw_debiased, _draw_empirical, _observed, _stream_generators
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -104,13 +102,11 @@ _FORK_MIN_WORK = 200_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment: model, band, scheme, box, and seeding."""
+    """Fully resolved experiment: the scheme (which holds the model, noise
+    and band), box, and seeding."""
 
-    model: SpectrumModel
-    noise: NoiseModel | None
-    l_max: int
-    band: Band
     scheme: NormalizationScheme
+    l_max: int
     box: SearchBox
     replications: int
     master_seed: int
@@ -121,11 +117,19 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 2")
         if self.band.l_hi > self.l_max:
             raise ValueError("band exceeds l_max")
-        scheme = self.scheme
-        if (scheme.band, scheme.model, scheme.noise) != (self.band, self.model, self.noise):
-            raise ValueError("scheme must describe the config's band, model and noise")
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        SeedSpec(self.master_seed)
+
+    @property
+    def model(self) -> SpectrumModel:
+        return self.scheme.model
+
+    @property
+    def noise(self) -> NoiseModel | None:
+        return self.scheme.noise
+
+    @property
+    def band(self) -> Band:
+        return self.scheme.band
 
 
 @dataclass(frozen=True)
@@ -456,24 +460,13 @@ def _report(run, indices: range, fd: int):
         os._exit(status)
 
 
-def _config_int(value, name: str) -> int:
-    """A config field that counts or seeds: a JSON integer, or an integral
-    float such as 1e4.  A bool, a non-integral number or a string raises
-    ConfigError rather than being truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def band_from_dict(d: dict, l_max: int) -> tuple[Band, dict]:
     """Band rule -> (band, resolved form)."""
     match d:
         case {"type": "full"}:
             return full_band(l_max), {"type": "full"}
         case {"type": "narrow", "L1": l1}:
-            l1 = _config_int(l1, "narrow band L1")
+            l1 = config_int(l1, "narrow band L1")
             if not 1 <= l1 <= l_max:
                 raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
             return Band(l1, l_max), {"type": "narrow", "L1": l1}
@@ -487,14 +480,8 @@ def band_from_dict(d: dict, l_max: int) -> tuple[Band, dict]:
 
 def box_from_dict(d: dict) -> SearchBox:
     """Search-box rule with defaults expanded."""
-    try:
-        return SearchBox(
-            alpha_min=float(d.get("alpha_min", 2.01)),
-            alpha_max=float(d.get("alpha_max", 10.0)),
-            tol=float(d.get("tol", 1e-6)),
-        )
-    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad search box: {exc}") from exc
+    with reading_config("search box"):
+        return from_json(SearchBox, d)
 
 
 def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
@@ -503,33 +490,21 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     Returns the config plus the fully resolved dict (defaults expanded) that
     reports embed so runs are self-describing.
     """
-    try:
+    with reading_config("experiment config"):
         model = model_from_dict(d["model"])
         noise = noise_from_dict(d["noise"]) if d.get("noise") else None
-        l_max = _config_int(d["L"], "L")
+        l_max = config_int(d["L"], "L")
         band, band_resolved = band_from_dict(d.get("band", {"type": "full"}), l_max)
         box = box_from_dict(d.get("box", {}))
         # a "corrected" key, which older configs carry, has no effect
         tag = d.get("scheme", {"type": "fullband"}).get("type")
-        scheme = NormalizationScheme(tag, band, model, noise)
-        replications = _config_int(d["replications"], "replications")
-        master_seed = _config_int(d["seed"], "seed")
         cfg = ExperimentConfig(
-            model=model,
-            noise=noise,
+            scheme=NormalizationScheme(tag, band, model, noise),
             l_max=l_max,
-            band=band,
-            scheme=scheme,
             box=box,
-            replications=replications,
-            master_seed=master_seed,
+            replications=config_int(d["replications"], "replications"),
+            master_seed=config_int(d["seed"], "seed"),
         )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"experiment config missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad experiment config: {exc}") from exc
     return cfg, experiment_to_dict(cfg, band_resolved)
 
 
@@ -545,11 +520,7 @@ def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict | None = None)
         "noise": noise_to_dict(cfg.noise) if cfg.noise else None,
         "L": cfg.l_max,
         "band": band_resolved,
-        "box": {
-            "alpha_min": cfg.box.alpha_min,
-            "alpha_max": cfg.box.alpha_max,
-            "tol": cfg.box.tol,
-        },
+        "box": to_json(cfg.box),
         "scheme": {"type": cfg.scheme.tag},
         "replications": cfg.replications,
         "seed": cfg.master_seed,
@@ -569,15 +540,7 @@ def report_to_dict(report: MonteCarloReport, resolved_config: dict) -> dict:
         "mse": report.mse,
         "sw_w": report.sw_w,
         "sw_p": report.sw_p,
-        "quantile_freqs": [
-            {
-                "cutpoint": row.cutpoint,
-                "percent": row.percent,
-                "percent_below": row.percent_below,
-                "percent_above": row.percent_above,
-            }
-            for row in report.quantile_freqs
-        ],
+        "quantile_freqs": [to_json(row) for row in report.quantile_freqs],
         "normalized_errors": [float(v) for v in report.normalized_errors],
         "raw_alpha_hats": [float(v) for v in report.raw_alpha_hats],
     }
@@ -590,15 +553,9 @@ def write_report_files(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
-    with open(report_path, "w", newline="\n") as fh:
-        json.dump(report_to_dict(report, resolved_config), fh, indent=2)
-        fh.write("\n")
+    write_json(report_path, report_to_dict(report, resolved_config))
     samples_path = out / "samples.csv"
-    with open(samples_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rep", "alpha_hat", "normalized", "status"])
-        for i, (a, z, status) in enumerate(
-            zip(report.all_alpha_hats, report.all_normalized, report.statuses)
-        ):
-            writer.writerow([i, repr(float(a)), repr(float(z)), status])
+    rows = zip(report.all_alpha_hats, report.all_normalized, report.statuses)
+    header = ["rep", "alpha_hat", "normalized", "status"]
+    write_csv(samples_path, header, ((i, *row) for i, row in enumerate(rows)))
     return report_path, samples_path

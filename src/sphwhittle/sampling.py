@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._files import write_csv
 from .errors import NonFiniteValue, NonPositiveValue, OutOfRange
 from .spectrum import NoiseModel, SpectrumModel, noise_values, spectrum_values
 
@@ -306,11 +307,7 @@ def sample_observed_debiased(
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:
     """Write `l,c_hat` rows with shortest round-trip float formatting."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["l", "c_hat"])
-        for l, v in enumerate(spectrum.values, start=1):
-            writer.writerow([l, repr(float(v))])
+    write_csv(path, ["l", "c_hat"], enumerate(spectrum.values, start=1))
 
 
 def read_spectrum_csv(path: str | Path, debiased: bool | None = None) -> EmpiricalSpectrum:

@@ -15,11 +15,12 @@ call them, so single and array evaluations are one computation.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
 
+from ._files import from_json, reading_config, to_json
 from .errors import ConfigError, OutOfRange, Unsupported
 
 __all__ = [
@@ -277,48 +278,26 @@ def asymptotic_params(model: SpectrumModel) -> AsymptoticParams:
     return model.asymptotic_params()
 
 
-def _kwargs(cls, d: dict) -> dict:
-    # the constructor arguments from a JSON form: sequences become tuples,
-    # everything else floats
-    return {
-        f.name: tuple(d[f.name]) if np.ndim(d[f.name]) else float(d[f.name])
-        for f in fields(cls)
-    }
-
-
-def _to_json(obj) -> dict:
-    # dataclass fields in declaration order, tuples as lists
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(obj).items()}
-
-
 def model_from_dict(d: dict) -> SpectrumModel:
     """Build a spectrum model from its JSON form (see README for the schema)."""
-    try:
+    with reading_config("model config"):
         cls = _MODELS.get(d["type"])
         if cls is None:
             raise ConfigError(f"unknown model type {d['type']!r}")
-        return cls(**_kwargs(cls, d))
-    except KeyError as exc:
-        raise ConfigError(f"model config missing key {exc}") from exc
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
+        return from_json(cls, d)
 
 
 def model_to_dict(model: SpectrumModel) -> dict:
     """Inverse of model_from_dict."""
-    return {"type": model.tag, **_to_json(model)}
+    return {"type": model.tag, **to_json(model)}
 
 
 def noise_from_dict(d: dict) -> NoiseModel:
     """Build a noise model from its JSON form."""
-    try:
-        return NoiseModel(**_kwargs(NoiseModel, d))
-    except KeyError as exc:
-        raise ConfigError(f"noise config missing key {exc}") from exc
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad noise config: {exc}") from exc
+    with reading_config("noise config"):
+        return from_json(NoiseModel, d)
 
 
 def noise_to_dict(noise: NoiseModel) -> dict:
     """Inverse of noise_from_dict."""
-    return _to_json(noise)
+    return to_json(noise)

@@ -112,6 +112,8 @@ class SearchBox:
             raise ValueError("alpha_max must exceed alpha_min")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        if not all(map(math.isfinite, (self.alpha_min, self.alpha_max, self.tol))):
+            raise ValueError("alpha_min, alpha_max and tol must be finite")
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,21 @@ class TestSimulateEstimate:
         assert result["boundary_hit"] is False
         assert result["config"]["band"] == {"type": "full"}
         assert result["config"]["box"]["tol"] == 1e-6
+        # a string comparison fixes the key order estimate.json carries
+        expected = {
+            "config": {
+                "input": str(spectrum_path),
+                "L": 400,
+                "band": {"type": "full"},
+                "box": {"alpha_min": 2.01, "alpha_max": 10.0, "tol": 1e-6},
+            },
+            **{k: result[k] for k in ("alpha_hat", "g_hat", "objective")},
+            "band": [1, 400],
+            "converged": True,
+            "boundary_hit": False,
+            "evaluations": result["evaluations"],
+        }
+        assert json.dumps(result) == json.dumps(expected)
 
     def test_seeded_simulate_deterministic(self, tmp_path):
         cfg = write_config(
@@ -334,6 +349,31 @@ class TestExitCodes:
         assert main(["unknown", "--config", "x", "--out", "y"]) == 1
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [
+            ("estimate", "--seed"),
+            ("oracle", "--seed"),
+            ("simulate", "--threads"),
+            ("estimate", "--threads"),
+            ("oracle", "--threads"),
+        ],
+    )
+    def test_flag_only_where_read(self, tmp_path, capsys, subcommand, flag):
+        # --seed is read by simulate and mc only, --threads by mc only
+        cfg = write_config(tmp_path / "cfg.json", {"L": 10})
+        argv = [subcommand, "--config", cfg, "--out", str(tmp_path / "o"), flag, "2"]
+        assert main(argv) == 1
+        assert "error: unrecognized arguments" in capsys.readouterr().err
+
+    def test_simulate_needs_seed(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "sim.json",
+            {"model": {"type": "power_law", "g0": 2.0, "alpha0": 3.0}, "L": 20},
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "'seed'" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
@@ -378,6 +418,15 @@ _VALID_CSV = "l,c_hat\n1,2.0\n2,0.25\n3,0.08\n"
         pytest.param("estimate", {"L": "x"}, _VALID_CSV, id="estimate-L-string"),
         pytest.param("estimate", {"band": "full"}, _VALID_CSV, id="estimate-band-string"),
         pytest.param("mc", mc_config(band="full"), None, id="mc-band-string"),
+        pytest.param("mc", mc_config(box=[]), None, id="mc-box-list"),
+        pytest.param("mc", mc_config(box="abc"), None, id="mc-box-string"),
+        pytest.param("estimate", {"box": [1, 2]}, _VALID_CSV, id="estimate-box-list"),
+        pytest.param(
+            "mc", mc_config(box={"alpha_max": math.inf}), None, id="mc-box-infinite"
+        ),
+        pytest.param(
+            "estimate", {"box": {"alpha_max": math.inf}}, _VALID_CSV, id="estimate-box-infinite"
+        ),
         pytest.param(
             "simulate",
             {"model": _LATE_NEGATIVE, "L": 5500, "seed": 1},

@@ -74,49 +74,16 @@ def base_config(**overrides) -> dict:
 class TestExperimentConfig:
     def test_validation(self):
         cfg, _ = experiment_from_dict(base_config())
+        wide = NormalizationScheme("fullband", Band(1, 400), cfg.model)
         with pytest.raises(ValueError):
             ExperimentConfig(
-                model=cfg.model,
-                noise=None,
-                l_max=300,
-                band=full_band(300),
-                scheme=cfg.scheme,
-                box=cfg.box,
-                replications=1,
-                master_seed=0,
+                scheme=cfg.scheme, l_max=300, box=cfg.box, replications=1, master_seed=0
             )
         with pytest.raises(ValueError):
-            ExperimentConfig(
-                model=cfg.model,
-                noise=None,
-                l_max=300,
-                band=Band(1, 400),
-                scheme=cfg.scheme,
-                box=cfg.box,
-                replications=10,
-                master_seed=0,
-            )
+            ExperimentConfig(scheme=wide, l_max=300, box=cfg.box, replications=10, master_seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(
-                model=cfg.model,
-                noise=None,
-                l_max=300,
-                band=full_band(300),
-                scheme=cfg.scheme,
-                box=cfg.box,
-                replications=10,
-                master_seed=2**64,
-            )
-        with pytest.raises(ValueError, match="scheme must describe"):
-            ExperimentConfig(
-                model=cfg.model,
-                noise=None,
-                l_max=300,
-                band=Band(2, 300),
-                scheme=cfg.scheme,
-                box=cfg.box,
-                replications=10,
-                master_seed=0,
+                scheme=cfg.scheme, l_max=300, box=cfg.box, replications=10, master_seed=2**64
             )
 
     def test_noise_scheme_requires_noise_model(self):

@@ -213,6 +213,9 @@ class TestSearchBox:
             SearchBox(3.0, 3.0)
         with pytest.raises(ValueError):
             SearchBox(2.01, 10.0, tol=0.0)
+        for bad in ({"alpha_max": math.inf}, {"tol": math.inf}, {"alpha_min": math.inf}):
+            with pytest.raises(ValueError):
+                SearchBox(**bad)
 
 
 class TestGHatK:
