@@ -106,10 +106,12 @@ def _out_dir(path: str) -> Path:
 def _cmd_simulate(config: dict, out: Path) -> None:
     with reading_config("simulate config"):
         model = model_from_dict(config["model"])
-        noise = noise_from_dict(config["noise"]) if config.get("noise") else None
+        noise = noise_from_dict(config["noise"]) if config.get("noise") is not None else None
         l_max = config_int(config["L"], "L")
         check_l_max(l_max)
-        exact = bool(config.get("exact", False))
+        exact = config.get("exact", False)
+        if not isinstance(exact, bool):
+            raise ConfigError(f"exact must be true or false, got {exact!r}")
         if not exact:
             seed = SeedSpec(config_int(config["seed"], "seed"), 0)
     if exact:

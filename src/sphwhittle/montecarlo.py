@@ -44,7 +44,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, _draw_debiased, _draw_empirical, _observed, _stream_generators
+from .sampling import SeedSpec, _draw, _observed, _stream_generators
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -61,7 +61,9 @@ from .whittle import (
     Band,
     NormalizationScheme,
     SearchBox,
-    estimate,
+    _estimate,
+    _on_edge,
+    _quiet,
     full_band,
     narrow_band,
     normalization_factor,
@@ -311,21 +313,24 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
     c = spectrum_values(cfg.model, cfg.l_max)
-    if cfg.noise is None:
-        draw = partial(_draw_empirical, c)
-    else:
+    c_n = None
+    if cfg.noise is not None:
         c_n = noise_values(cfg.noise, cfg.l_max)
-        draw = partial(_draw_debiased, _observed(c, c_n), c_n)
+        c = _observed(c, c_n)
 
     def replicate(indices: range) -> list[tuple[float, str]]:
+        # each replication is sample_* and estimate on the raw draw; an
+        # overflow in the draw or in Ghat ends as a typed error, so numpy's
+        # warnings are silenced once for the range
         outcomes = []
-        for rng in _stream_generators(cfg.master_seed, indices):
-            try:
-                result = estimate(draw(rng), cfg.band, cfg.box)
-            except NumericalError:
-                outcomes.append((math.nan, "error"))
-                continue
-            outcomes.append((result.alpha_hat, "boundary" if result.boundary_hit else "ok"))
+        with _quiet():
+            for rng in _stream_generators(cfg.master_seed, indices):
+                try:
+                    alpha = _estimate(_draw(c, c_n, rng), cfg.band, cfg.box)[0]
+                except NumericalError:
+                    outcomes.append((math.nan, "error"))
+                    continue
+                outcomes.append((alpha, "boundary" if _on_edge(alpha, cfg.box) else "ok"))
         return outcomes
 
     # the CPUs this process may use, where the platform says; more workers
@@ -492,7 +497,7 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     """
     with reading_config("experiment config"):
         model = model_from_dict(d["model"])
-        noise = noise_from_dict(d["noise"]) if d.get("noise") else None
+        noise = noise_from_dict(d["noise"]) if d.get("noise") is not None else None
         l_max = config_int(d["L"], "L")
         band, band_resolved = band_from_dict(d.get("band", {"type": "full"}), l_max)
         box = box_from_dict(d.get("box", {}))
@@ -528,7 +533,8 @@ def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict | None = None)
 
 
 def report_to_dict(report: MonteCarloReport, resolved_config: dict) -> dict:
-    """JSON form of a report with the resolved config embedded."""
+    """JSON form of a report with the resolved config embedded: the
+    statistics only, as samples.csv holds every replication."""
     return {
         "config": resolved_config,
         "replications": report.replications,
@@ -541,8 +547,6 @@ def report_to_dict(report: MonteCarloReport, resolved_config: dict) -> dict:
         "sw_w": report.sw_w,
         "sw_p": report.sw_p,
         "quantile_freqs": [to_json(row) for row in report.quantile_freqs],
-        "normalized_errors": [float(v) for v in report.normalized_errors],
-        "raw_alpha_hats": [float(v) for v in report.raw_alpha_hats],
     }
 
 

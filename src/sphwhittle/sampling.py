@@ -77,10 +77,10 @@ def _checked(values: np.ndarray, debiased: bool) -> np.ndarray:
 
 
 def _own(values: np.ndarray, debiased: bool) -> EmpiricalSpectrum:
-    # an EmpiricalSpectrum holding a fresh float buffer that no caller sees,
-    # checked and frozen in place instead of copied
+    # an EmpiricalSpectrum around a checked, frozen buffer that no caller
+    # sees, instead of a copy
     spectrum = object.__new__(EmpiricalSpectrum)
-    object.__setattr__(spectrum, "values", _checked(values, debiased))
+    object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "debiased", debiased)
     return spectrum
 
@@ -234,26 +234,26 @@ def _chisq_df(l_max: int) -> np.ndarray:
     return df
 
 
-def _scaled_chisq(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # c_l X_l / (2l+1) with X_l ~ chi2(2l+1), formed in the draw's own
-    # buffer; a value that overflows is inf, which the spectrum's check
-    # reports as NonFiniteValue
+def _draw(c: np.ndarray, c_n: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    """c_l X_l / (2l+1) with X_l ~ chi2(2l+1), minus c_n when it is given (a
+    debiased draw, with c = C_T + C_N), formed in the draw's own buffer and
+    checked over every l as EmpiricalSpectrum checks its values.  A value that overflows is
+    inf, which the check reports as NonFiniteValue; the caller silences
+    numpy's overflow warning."""
     df = _chisq_df(c.size)
     x = rng.chisquare(df)
     x /= df
-    with np.errstate(over="ignore"):
-        x *= c
-    return x
-
-
-def _draw_empirical(c: np.ndarray, rng: np.random.Generator) -> EmpiricalSpectrum:
-    # sample_empirical for precomputed model values c = C_1..C_L
-    return _own(_scaled_chisq(c, rng), debiased=False)
+    x *= c
+    if c_n is not None:
+        x -= c_n
+    return _checked(x, debiased=c_n is not None)
 
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Draw C_hat_l = C_l * chi2(2l+1)/(2l+1) for l = 1..l_max."""
-    return _draw_empirical(spectrum_values(model, l_max), generator(seed))
+    c = spectrum_values(model, l_max)
+    with np.errstate(over="ignore"):
+        return _own(_draw(c, None, generator(seed)), debiased=False)
 
 
 def sample_alm(model: SpectrumModel, l_max: int, seed: SeedSpec) -> HarmonicCoefficients:
@@ -283,15 +283,6 @@ def _observed(c_t: np.ndarray, c_n: np.ndarray) -> np.ndarray:
         return c_t + c_n
 
 
-def _draw_debiased(
-    c_obs: np.ndarray, c_n: np.ndarray, rng: np.random.Generator
-) -> EmpiricalSpectrum:
-    # sample_observed_debiased for precomputed C_T + C_N and C_N
-    x = _scaled_chisq(c_obs, rng)
-    x -= c_n
-    return _own(x, debiased=True)
-
-
 def sample_observed_debiased(
     model: SpectrumModel, noise: NoiseModel, l_max: int, seed: SeedSpec
 ) -> EmpiricalSpectrum:
@@ -302,7 +293,8 @@ def sample_observed_debiased(
     """
     c_n = noise_values(noise, l_max)
     c_obs = _observed(spectrum_values(model, l_max), c_n)
-    return _draw_debiased(c_obs, c_n, generator(seed))
+    with np.errstate(over="ignore"):
+        return _own(_draw(c_obs, c_n, generator(seed)), debiased=True)
 
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:

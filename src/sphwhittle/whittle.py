@@ -9,15 +9,17 @@ and wbar = sum (2l+1) log l / W (natural logs, l = 1 included, weights over
 the band only).  Its minimizer alpha_hat estimates the spectral index and
 g_hat = Ghat(alpha_hat) the amplitude.
 
-The score and curvature are the tilted mean and variance of log l - wbar,
-computed from centered logs rather than as Ghat_1/Ghat - wbar.  Every
-band is minimized by one safeguarded Newton-bisection root of the score:
-the minimizer over the box where R is convex (positive values), else the
-local minimizer reached from the box midpoint (a debiased spectrum).
-Each iterate costs one pass over the band, except that a debiased band's
-box edges and midpoint share one pass and the final point, reached by a
-step of at most 1e-7, costs none; a positive band usually takes 2-3
-passes, a debiased one about 6.  The band sums run on values divided by
+The score, the curvature and the next two derivatives of R are the tilted
+cumulants of log l - wbar, computed from centered logs rather than as
+Ghat_1/Ghat - wbar; one pass over the band gives all four at one alpha.
+Every band is minimized by one safeguarded Halley-bisection root of the
+score: the minimizer over the box where R is convex (positive values), else
+the local minimizer reached from the box midpoint (a debiased spectrum).
+Each iterate costs one pass, and a debiased band's first pass also checks
+Ghat at the box edges.  Once the Newton step is at most _SERIES_STOP
+(3e-4) the score's series, reverted, takes one last step with no pass at
+its end.  A positive band takes 1-2 passes (1 at L = 20000), a debiased
+one about 3.4 at L = 2000.  The band sums run on values divided by
 a power of two near max |Chat_l| and on l^alpha / l_hi^alpha, so no term
 overflows and alpha_hat does not depend on the spectrum's scale; only a
 g_hat that is itself out of range raises.
@@ -72,8 +74,11 @@ __all__ = [
 ]
 
 _MAX_EVALS = 200
-# a Newton step this small leaves the next iterate within roundoff of the root
-_NEWTON_STOP = 1e-7
+# A pass whose Newton step d1 = -s/q is at most this long is the last: the
+# score's Taylor series to third order, reverted, gives the root to O(d1^4).
+# The cumulants scale like powers of |log l - wbar| <= log L, so the first
+# neglected term is about d1 (d1 log L)^4, below 1e-13 for L <= 1e5.
+_SERIES_STOP = 3e-4
 
 
 @dataclass(frozen=True)
@@ -122,11 +127,11 @@ class EstimateResult:
 
     evaluations counts the passes over the band that located alpha_hat
     (each gives Ghat and its moments at one alpha), always >= 1; on a band
-    holding a value <= 0 the first pass covers the box edges and midpoint
-    at once, and the final point, reached by a step of at most 1e-7, takes
-    no pass.  converged means the stopping rule was met before the
-    iteration cap; an estimate on a box edge can be converged, and
-    boundary_hit flags it.
+    holding a value <= 0 the first pass also checks Ghat at the box edges,
+    and the final point, reached by a series step from a pass whose Newton
+    step is at most 3e-4, takes no pass.  converged means the stopping rule
+    was met before the iteration cap; an estimate on a box edge can be
+    converged, and boundary_hit flags it.
     """
 
     alpha_hat: float
@@ -173,9 +178,9 @@ class _BandArrays:
     log_hi: float
     w_sum: float
     wbar: float
-    # rows 1, log l - wbar, (log l - wbar)^2: one einsum with the tilt gives
-    # W Ghat and the centered moments of the score and curvature, free of
-    # the cancellation in Ghat_1/Ghat - wbar
+    # rows c^k, k = 0..4, with c = log l - wbar: one einsum with the tilt
+    # gives W Ghat and the moments behind the score, the curvature and the
+    # next two cumulants, free of the cancellation in Ghat_1/Ghat - wbar
     basis: np.ndarray
     # the weighted-OLS slope of y on log l is sum(ols_weights * y) / ols_den
     ols_weights: np.ndarray
@@ -193,7 +198,7 @@ def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     w_sum = float(w.sum())
     wbar = float((w * log_l).sum() / w_sum)
     log_c = log_l - wbar
-    basis = np.stack([np.ones_like(l), log_c, log_c**2])
+    basis = np.stack([log_c**k for k in range(5)])
     log_s = log_l - log_l[-1]
     ols_weights = w * log_c
     for a in (w, log_s, basis, ols_weights):
@@ -210,14 +215,16 @@ def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     )
 
 
-# Rows 3k..3k+2 are exp(a_k (log l - log l_hi)) * basis for the probes a_k,
-# so one einsum with the weighted values gives W Ghat and both centered
-# moments at every probe.  Three probes take 9 band lengths (0.14 MB at
-# L = 2000).
+# Rows 0 and 1 are exp(a (log l - log l_hi)) at alpha_min and alpha_max and
+# rows 2..6 that tilt at the midpoint times basis, so one einsum with the
+# weighted values gives W Ghat at the edges and every moment at the
+# midpoint.  The 7 rows take 0.11 MB at L = 2000.
 @functools.lru_cache(maxsize=8)
-def _probe_rows(l_lo: int, l_hi: int, probes: tuple[float, ...]) -> np.ndarray:
+def _probe_rows(l_lo: int, l_hi: int, a_min: float, a_max: float) -> np.ndarray:
     arrays = _band_arrays(l_lo, l_hi)
-    rows = np.concatenate([np.exp(a * arrays.log_s) * arrays.basis for a in probes])
+    mid = 0.5 * (a_min + a_max)
+    edges = np.exp(np.multiply.outer((a_min, a_max), arrays.log_s))
+    rows = np.concatenate([edges, np.exp(mid * arrays.log_s) * arrays.basis])
     rows.setflags(write=False)
     return rows
 
@@ -240,17 +247,17 @@ class _BandData:
     itself is wanted, so only a Ghat that is out of range overflows.
     """
 
-    def __init__(self, spectrum: EmpiricalSpectrum, band: Band) -> None:
-        if band.l_hi > spectrum.l_max:
+    def __init__(self, values: np.ndarray, band: Band) -> None:
+        if band.l_hi > values.size:
             raise ValueError(
-                f"band [{band.l_lo}, {band.l_hi}] exceeds spectrum l_max={spectrum.l_max}"
+                f"band [{band.l_lo}, {band.l_hi}] exceeds spectrum l_max={values.size}"
             )
         self.band = band
         self.arrays = _band_arrays(band.l_lo, band.l_hi)
         self.log_s = self.arrays.log_s
         self.w_sum = self.arrays.w_sum
         self.wbar = self.arrays.wbar
-        self.values = spectrum.values[band.l_lo - 1 : band.l_hi]
+        self.values = values[band.l_lo - 1 : band.l_hi]
         v_min, v_max = float(self.values.min()), float(self.values.max())
         self.positive = v_min > 0
         # frexp(0) = (0, 0): an all-zero band keeps its zeros
@@ -274,28 +281,36 @@ class _BandData:
             g = math.inf
         return _check_amplitude(math.copysign(g, g_s), alpha)
 
-    def moments(self, alpha: float, g0: float, m1: float, m2: float) -> tuple[float, float, float]:
-        """(g_s, score, curvature) from W g_s and the two centered moments."""
+    def moments(self, alpha: float, g0: float, *m: float) -> tuple[float, ...]:
+        """(g_s, score, curvature, kappa3, kappa4) from W g_s and the four
+        centered moments: g_s and the tilted cumulants of log l - wbar."""
         if not g0 > 0:
             self.amplitude(alpha, g0 / self.w_sum)  # raises NonPositiveAmplitude
-        s = m1 / g0
-        return g0 / self.w_sum, s, m2 / g0 - s * s
+        s, e2, e3, e4 = (v / g0 for v in m)
+        q = e2 - s * s
+        k3 = e3 - 3.0 * s * e2 + 2.0 * s**3
+        k4 = e4 - 4.0 * s * e3 + 6.0 * s * s * e2 - 3.0 * s**4 - 3.0 * q * q
+        return g0 / self.w_sum, s, q, k3, k4
 
-    def centered_moments(self, alpha: float) -> tuple[float, float, float]:
-        """(g_s, score, curvature) at alpha; raises if Ghat(alpha) <= 0."""
+    def centered_moments(self, alpha: float) -> tuple[float, ...]:
+        """moments at alpha; raises if Ghat(alpha) <= 0."""
         # wc * exp(alpha (log l - log l_hi)), formed in one buffer
         tilt = np.multiply(self.log_s, alpha)
         np.exp(tilt, out=tilt)
         tilt *= self.wc
         return self.moments(alpha, *np.einsum("ji,i->j", self.arrays.basis, tilt).tolist())
 
-    def probe_moments(self, box: SearchBox) -> dict[float, tuple[float, float, float]]:
-        """centered_moments at alpha_min, alpha_max and the midpoint, in one
-        pass; the amplitudes are checked in that order."""
-        probes = (box.alpha_min, box.alpha_max, 0.5 * (box.alpha_min + box.alpha_max))
-        rows = _probe_rows(self.band.l_lo, self.band.l_hi, probes)
-        sums = np.einsum("ji,i->j", rows, self.wc).tolist()
-        return {a: self.moments(a, *sums[3 * k : 3 * k + 3]) for k, a in enumerate(probes)}
+    def probe_moments(self, box: SearchBox) -> tuple[float, ...]:
+        """centered_moments at the box midpoint, in one pass that also checks
+        Ghat > 0 at alpha_min and alpha_max; the amplitudes are checked in
+        the order alpha_min, alpha_max, midpoint."""
+        a1, a2 = box.alpha_min, box.alpha_max
+        rows = _probe_rows(self.band.l_lo, self.band.l_hi, a1, a2)
+        g1, g2, *sums = np.einsum("ji,i->j", rows, self.wc).tolist()
+        for alpha, g0 in ((a1, g1), (a2, g2)):
+            if not g0 > 0:
+                self.amplitude(alpha, g0 / self.w_sum)  # raises NonPositiveAmplitude
+        return self.moments(0.5 * (a1 + a2), *sums)
 
 
 def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
@@ -315,14 +330,14 @@ def objective(
 ) -> float:
     """Concentrated objective R(alpha) = log Ghat(alpha) - alpha * wbar."""
     with _quiet():
-        data = _BandData(spectrum, _band_or_full(spectrum, band))
+        data = _BandData(spectrum.values, _band_or_full(spectrum, band))
         return math.log(data.amplitude(alpha, data.ghat(alpha))) - alpha * data.wbar
 
 
 def score(spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None) -> float:
     """Exact derivative of the objective, Ghat_1/Ghat - wbar."""
     with _quiet():
-        return _BandData(spectrum, _band_or_full(spectrum, band)).centered_moments(alpha)[1]
+        return _BandData(spectrum.values, _band_or_full(spectrum, band)).centered_moments(alpha)[1]
 
 
 def curvature(
@@ -330,30 +345,31 @@ def curvature(
 ) -> float:
     """Second derivative of the objective, (Ghat_2 Ghat - Ghat_1^2) / Ghat^2."""
     with _quiet():
-        return _BandData(spectrum, _band_or_full(spectrum, band)).centered_moments(alpha)[2]
+        return _BandData(spectrum.values, _band_or_full(spectrum, band)).centered_moments(alpha)[2]
 
 
 def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
-    """Root of the score by safeguarded Newton-bisection.
+    """Root of the score by safeguarded Halley-bisection.
 
     With positive values R is a log-sum-exp of affine functions of alpha,
     so it is convex and its score increases: the minimizer over the box is
     the score's root, or the edge at which the score keeps its sign.  The
     start is then the weighted-OLS slope of log Chat_l on log l, clipped
-    into the box.  A band holding a value <= 0 starts at the midpoint.  One
-    pass over the band (probe_moments) gives Ghat, score and curvature at
-    alpha_min, alpha_max and the midpoint, checks Ghat > 0 at the three, and
-    serves any iterate that lands on one of them; where the curvature is
-    <= 0 the Newton step points at the box edge on the descent side.  As in
-    rtsafe (Numerical Recipes 9.4), a Newton step is taken only when it
-    stays inside the bracket and at most halves the step before the last;
-    otherwise the bracket is bisected.  A box edge is evaluated only when a
-    Newton step tries to leave the box through it.  A step of at most
-    _NEWTON_STOP, which quadratic convergence puts within roundoff of the
-    root, ends the search at its target with no pass there: Ghat(target)
-    is the second-order expansion of log Ghat from the last pass, exact to
-    roundoff over such a step.  Returns (alpha, Ghat(alpha), passes over
-    the band, converged).
+    into the box.  A band holding a value <= 0 starts at the midpoint, and
+    one pass over the band (probe_moments) checks Ghat > 0 at alpha_min,
+    alpha_max and the midpoint and gives the midpoint's moments; where the
+    curvature is <= 0 the step points at the box edge on the descent side.
+    Each pass gives the score s, the curvature q and the next two
+    cumulants k3, k4.  The step is Halley's, -s / (q - s k3 / (2q)), or
+    Newton's, d1 = -s/q, where that denominator is below q/2.  As in rtsafe
+    (Numerical Recipes 9.4), a step is taken only when it stays inside the
+    bracket and at most halves the step before the last; otherwise the
+    bracket is bisected.  A box edge is evaluated only when a step tries to
+    leave the box through it.  Once |d1| <= _SERIES_STOP the step is the
+    score's third-order series reverted, which ends the search at its
+    target with no pass there: Ghat(target) is the fourth-order expansion
+    of log Ghat from the last pass.  Returns (alpha, Ghat(alpha), passes
+    over the band, converged).
     """
     a1, a2 = box.alpha_min, box.alpha_max
     if data.positive:
@@ -361,11 +377,11 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
         log_values = np.log(data.values)
         slope = float(np.einsum("i,i", arrays.ols_weights, log_values)) / arrays.ols_den
         x = min(max(-slope, a1), a2)
-        probes = {}
+        probe = None
         evals = 0
     else:
         x = 0.5 * (a1 + a2)
-        probes = data.probe_moments(box)
+        probe = data.probe_moments(box)
         evals = 1
     # the score is negative at lo and positive at hi once they are known;
     # until then they are the box edges
@@ -373,11 +389,11 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     lo_known = hi_known = False
     dx = dx_old = a2 - a1
     while True:
-        if x in probes:
-            g0, s, q = probes[x]
-        else:
+        if probe is None:
             evals += 1
-            g0, s, q = data.centered_moments(x)
+            g0, s, q, k3, k4 = data.centered_moments(x)
+        else:
+            (g0, s, q, k3, k4), probe = probe, None
         if s > 0:
             if x == a1:
                 return x, data.amplitude(x, g0), evals, True
@@ -386,37 +402,61 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
             if x == a2:
                 return x, data.amplitude(x, g0), evals, True
             lo, lo_known = x, True
+        final = False
         if q > 0:
-            newton = x - s / q
+            d = -s / q
+            halley = q - s * k3 / (2.0 * q)
+            if abs(d) <= _SERIES_STOP:
+                d += (k3 * k3 / (2.0 * q * q) - k4 / (6.0 * q)) * d**3 - k3 * d * d / (2.0 * q)
+                final = True
+            elif halley >= 0.5 * q:
+                d = -s / halley
+            proposed = x + d
         elif data.positive:
             # q <= 0 only by roundoff where R is convex: bisect
-            newton = math.nan
+            proposed = math.nan
         else:
-            newton = math.inf if s < 0 else -math.inf
-        # newton == x: the step is below the resolution of x
-        if s == 0 or newton == x:
+            proposed = math.inf if s < 0 else -math.inf
+        # proposed == x: the step is below the resolution of x
+        if s == 0 or proposed == x:
             return x, data.amplitude(x, g0), evals, True
-        if not lo < newton < hi:
-            if newton <= lo and not lo_known:
+        if not lo < proposed < hi:
+            if proposed <= lo and not lo_known:
                 target = a1
-            elif newton >= hi and not hi_known:
+            elif proposed >= hi and not hi_known:
                 target = a2
             else:
                 target = 0.5 * (lo + hi)
-        elif abs(2.0 * s) > abs(dx_old * q):
+        elif abs(2.0 * (proposed - x)) > abs(dx_old):
             target = 0.5 * (lo + hi)
-        else:
-            target = newton
-        dx_old, dx = dx, target - x
-        if abs(dx) <= _NEWTON_STOP:
+        elif final:
             # d log g_s / d alpha is the tilted mean of log l - log l_hi,
-            # s + wbar - log l_hi, and the curvature is q
-            log_step = dx * (s + data.wbar - data.arrays.log_hi) + 0.5 * dx * dx * q
-            return target, data.amplitude(target, g0, log_step), evals, True
+            # s + wbar - log l_hi; the higher derivatives are q, k3, k4
+            d = proposed - x
+            log_step = d * (s + data.wbar - data.arrays.log_hi) + d * d * (
+                q / 2.0 + d * (k3 / 6.0 + d * k4 / 24.0)
+            )
+            return proposed, data.amplitude(proposed, g0, log_step), evals, True
+        else:
+            target = proposed
+        dx_old, dx = dx, target - x
         if evals >= _MAX_EVALS:
             # target unevaluated; Ghat is the last pass's
             return target, data.amplitude(x, g0), evals, False
         x = target
+
+
+def _on_edge(alpha: float, box: SearchBox) -> bool:
+    """An estimate within tol of a box edge is a boundary hit."""
+    return (alpha - box.alpha_min) < box.tol or (box.alpha_max - alpha) < box.tol
+
+
+def _estimate(values: np.ndarray, band: Band, box: SearchBox) -> tuple[float, float, int, bool]:
+    """estimate on the whole spectrum's values, without its wrapping:
+    (alpha_hat, g_hat, passes, converged).  Call it under _quiet()."""
+    if band.width < 2:
+        raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
+    return _score_root(_BandData(values, band), box)
 
 
 def estimate(
@@ -425,7 +465,7 @@ def estimate(
     """Minimize the concentrated objective over the box.
 
     The minimizer is the root of the score, found by safeguarded
-    Newton-bisection.  When every spectrum value in the band is positive
+    Halley-bisection.  When every spectrum value in the band is positive
     the objective is convex, the search starts from a weighted-OLS fit, and
     the result is the minimizer over the box.  A band holding a value <= 0
     (a debiased spectrum) first has Ghat checked at alpha_min, alpha_max
@@ -442,19 +482,16 @@ def estimate(
     band = _band_or_full(spectrum, band)
     if box is None:
         box = SearchBox()
-    if band.width < 2:
-        raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
     with _quiet():
-        data = _BandData(spectrum, band)
-        x, g_hat, evals, converged = _score_root(data, box)
+        x, g_hat, evals, converged = _estimate(spectrum.values, band, box)
     return EstimateResult(
         alpha_hat=float(x),
         g_hat=float(g_hat),
-        objective=float(math.log(g_hat) - x * data.wbar),
+        objective=float(math.log(g_hat) - x * _band_arrays(band.l_lo, band.l_hi).wbar),
         band=band,
         evaluations=evals,
         converged=converged,
-        boundary_hit=bool((x - box.alpha_min) < box.tol or (box.alpha_max - x) < box.tol),
+        boundary_hit=_on_edge(x, box),
     )
 
 

@@ -92,6 +92,18 @@ class TestSimulateEstimate:
         ) == 0
         assert (tmp_path / "c" / "spectrum.csv").read_bytes() != a
 
+    def test_simulate_null_noise_and_boolean_exact(self, tmp_path):
+        # "noise": null and "exact": false are the defaults, spelt out
+        written = []
+        for name, extra in (("a", {}), ("b", {"noise": None, "exact": False})):
+            cfg = write_config(tmp_path / f"{name}.json", {**_SIMULATE, **extra})
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "spectrum.csv").read_bytes())
+        assert written[0] == written[1]
+        cfg = write_config(tmp_path / "exact.json", dict(_SIMULATE, exact=True))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+        assert (tmp_path / "e" / "spectrum.csv").read_bytes() != written[0]
+
     def test_simulate_with_noise_flags_debiased(self, tmp_path):
         cfg = write_config(
             tmp_path / "sim.json",
@@ -225,7 +237,13 @@ class TestMc:
             "tol": 1e-6,
         }
         assert payload["config"]["seed"] == 17
-        assert len(payload["normalized_errors"]) == 40 - payload["boundary_hits"]
+        # the statistics cover the ok rows of samples.csv
+        lines = (tmp_path / "r" / "samples.csv").read_text().splitlines()[1:]
+        ok = [line for line in lines if line.endswith(",ok")]
+        assert len(lines) == 40
+        assert len(ok) == 40 - payload["boundary_hits"]
+        assert set(payload) >= {"mean", "variance", "quantile_freqs"}
+        assert not set(payload) & {"normalized_errors", "raw_alpha_hats"}
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path / "mc.json", mc_config())
@@ -406,6 +424,11 @@ _LATE_NEGATIVE = {"type": "rational", "p": [1, -11000, 3e7], "q": [1, 1, 1], "al
 
 _VALID_CSV = "l,c_hat\n1,2.0\n2,0.25\n3,0.08\n"
 
+_SIMULATE = {"model": {"type": "power_law", "g0": 2.0, "alpha0": 3.0}, "L": 20, "seed": 1}
+
+# only null (or no key) means "no noise"; any other value is a noise config
+_NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
+
 
 @pytest.mark.parametrize(
     "subcommand, config, csv_text",
@@ -427,6 +450,13 @@ _VALID_CSV = "l,c_hat\n1,2.0\n2,0.25\n3,0.08\n"
         pytest.param(
             "estimate", {"box": {"alpha_max": math.inf}}, _VALID_CSV, id="estimate-box-infinite"
         ),
+        *(
+            pytest.param(command, dict(base, noise=value), None, id=f"{command}-noise-{name}")
+            for command, base in (("mc", mc_config()), ("simulate", _SIMULATE))
+            for name, value in _NOT_NOISE.items()
+        ),
+        pytest.param("simulate", dict(_SIMULATE, exact="false"), None, id="simulate-exact-string"),
+        pytest.param("simulate", dict(_SIMULATE, exact=1), None, id="simulate-exact-one"),
         pytest.param(
             "simulate",
             {"model": _LATE_NEGATIVE, "L": 5500, "seed": 1},

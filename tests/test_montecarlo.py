@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import runpy
 import signal
 import sys
 import time
-from types import SimpleNamespace
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from sphwhittle import (
     ExperimentConfig,
     KappaPerturbed,
     NoiseModel,
+    NonFiniteValue,
     NonPositiveAmplitude,
+    NonPositiveValue,
     NormalizationScheme,
     SampleSizeOutOfRange,
     SearchBox,
@@ -44,6 +48,7 @@ from sphwhittle import (
 from sphwhittle import montecarlo
 from sphwhittle.montecarlo import _FORK_MIN_WORK
 from sphwhittle.sampling import _SEED_BLOCK
+from sphwhittle.whittle import _estimate
 
 needs_fork = pytest.mark.skipif(
     sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
@@ -51,9 +56,14 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def pid_estimate(*args) -> SimpleNamespace:
-    """An estimate stub whose alpha_hat is the pid of the process that ran it."""
-    return SimpleNamespace(alpha_hat=float(os.getpid()), boundary_hit=False)
+def pid_estimate(*args) -> tuple[float, float, int, bool]:
+    """A stub of the replication core (whittle._estimate) whose alpha_hat is
+    the pid of the process that ran it; run with PID_BOX, inside which every
+    pid lies, so its replications are "ok"."""
+    return float(os.getpid()), 1.0, 1, True
+
+
+PID_BOX = {"alpha_min": 1.0, "alpha_max": 1e9, "tol": 1e-6}
 
 
 def base_config(**overrides) -> dict:
@@ -352,6 +362,7 @@ class TestRunExperiment:
         parent = os.getpid()
 
         def fake_estimate(*args):
+            # stands in for the replication core, whittle._estimate
             in_child = os.getpid() != parent
             if failure == "child_raises" and in_child:
                 raise LookupError("raised in the child")
@@ -361,12 +372,12 @@ class TestRunExperiment:
                 if in_child:
                     time.sleep(60)  # the parent must kill it, not wait
                 raise LookupError("raised in the parent")
-            return estimate(*args)
+            return _estimate(*args)
 
         def hung(signum, frame):
             raise TimeoutError("run_experiment did not return")
 
-        monkeypatch.setattr(montecarlo, "estimate", fake_estimate)
+        monkeypatch.setattr(montecarlo, "_estimate", fake_estimate)
         cfg, _ = experiment_from_dict(base_config(L=500, replications=2 * _FORK_MIN_WORK // 500))
         expected, message = {
             "child_raises": (LookupError, "raised in the child"),
@@ -391,10 +402,11 @@ class TestRunExperiment:
     def test_fork_cut_is_work_per_worker(self, monkeypatch):
         # two workers fork once each gets _FORK_MIN_WORK band terms
         # (replications x l_max), and one replication less runs serially
-        monkeypatch.setattr(montecarlo, "estimate", pid_estimate)
+        monkeypatch.setattr(montecarlo, "_estimate", pid_estimate)
         reps = 2 * _FORK_MIN_WORK // 500
         for replications, workers in ((reps - 1, 1), (reps, 2)):
-            cfg, _ = experiment_from_dict(base_config(L=500, replications=replications))
+            config = base_config(L=500, replications=replications, box=PID_BOX)
+            cfg, _ = experiment_from_dict(config)
             pids = set(run_experiment(cfg, threads=2).all_alpha_hats)
             assert os.getpid() in pids
             assert len(pids) == workers
@@ -409,7 +421,10 @@ class TestRunExperiment:
         monkeypatch.setattr(sys, "platform", "darwin")
         other = write_report_files(run_experiment(cfg, threads=2), resolved, tmp_path / "other")
         assert [p.read_bytes() for p in other] == [p.read_bytes() for p in linux]
-        monkeypatch.setattr(montecarlo, "estimate", pid_estimate)
+        monkeypatch.setattr(montecarlo, "_estimate", pid_estimate)
+        cfg, _ = experiment_from_dict(
+            base_config(L=500, replications=2 * _FORK_MIN_WORK // 500, box=PID_BOX)
+        )
         assert set(run_experiment(cfg, threads=2).all_alpha_hats) == {os.getpid()}
 
     def test_mse_identity(self):
@@ -448,6 +463,36 @@ class TestRunExperiment:
             report = run_experiment(cfg)
         assert 0 < report.statuses.count("error") < cfg.replications
         assert np.isnan(report.all_alpha_hats[[s == "error" for s in report.statuses]]).all()
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            # C_1 = 1e308: l = 1 overflows on some draws, the band [2, 50] never
+            (
+                {"model": {"type": "power_law", "g0": 1e308, "alpha0": 3.0}, "L": 50,
+                 "band": {"type": "narrow", "L1": 2}},
+                NonFiniteValue,
+            ),
+            # C_3 is the least subnormal: a draw below half of it rounds to 0
+            ({"model": {"type": "power_law", "g0": 1e-322, "alpha0": 3.0}, "L": 3}, NonPositiveValue),
+        ],
+        ids=["overflow_outside_band", "underflow_to_zero"],
+    )
+    def test_whole_draw_is_checked(self, overrides, error):
+        # the replication loop checks every l of a draw, as the public
+        # sampler's EmpiricalSpectrum does, band or no band
+        cfg, _ = experiment_from_dict(base_config(replications=50, seed=0, **overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(cfg)
+        raised = []
+        for i in range(cfg.replications):
+            try:
+                sample_empirical(cfg.model, cfg.l_max, SeedSpec(cfg.master_seed, i))
+            except error:
+                raised.append(i)
+        assert raised
+        assert [i for i, s in enumerate(report.statuses) if s == "error"] == raised
 
     def test_huge_amplitude_loses_no_replication(self):
         # the unscaled terms (2l+1) Chat_l l^alpha overflow on the box, but
@@ -508,6 +553,28 @@ class TestRunExperiment:
         narrow_report = run_experiment(narrow_cfg, threads=4)
         assert narrow_report.variance_raw > full_report.variance_raw
         assert abs(narrow_report.mean) < abs(full_report.mean)
+
+
+def _bench_common() -> dict:
+    # the benchmark's workload table and pinned-file path; bench/common.py
+    # imports only the standard library
+    return runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "common.py"))
+
+
+@pytest.mark.parametrize("name", ["mc-large", "mc-noise"])
+def test_pinned_bench_values(name):
+    # the first 200 replications of each benchmark design at seed 42 against
+    # the file pinned from the seed commit, which this test only reads
+    common = _bench_common()
+    pinned = json.loads(common["PINNED_PATH"].read_text())[name]
+    cfg, _ = experiment_from_dict(common["mc_config"](common["WORKLOADS"][name], 42, 200))
+    report = run_experiment(cfg, threads=1)
+    assert list(report.statuses) == pinned["status"][:200]
+    for alpha, ref in zip(report.all_alpha_hats, pinned["alpha_hat"]):
+        if ref is None:
+            assert math.isnan(alpha)
+        else:
+            assert abs(alpha - ref) <= 1e-12
 
 
 class TestReportFiles:

@@ -498,6 +498,91 @@ class TestEstimate:
         )
 
 
+def fsum_score(spectrum: EmpiricalSpectrum, band: Band | None, alpha: float) -> float:
+    """The score at alpha, sum t_l c_l / sum t_l with t_l = (2l+1) Chat_l
+    (l / l_hi)^alpha and c_l = log l - wbar, every band sum by math.fsum."""
+    w, l, values = band_arrays(spectrum, band)
+    log_l = np.log(l)
+    c = log_l - math.fsum(w * log_l) / math.fsum(w)
+    t = w * values * np.exp(alpha * (log_l - log_l[-1]))
+    return math.fsum(t * c) / math.fsum(t)
+
+
+def bisected_root(spectrum: EmpiricalSpectrum, band: Band | None, lo: float, hi: float) -> float:
+    """The root of fsum_score in [lo, hi], bisected down to adjacent floats;
+    the score must be negative at lo and positive at hi."""
+    assert fsum_score(spectrum, band, lo) < 0 < fsum_score(spectrum, band, hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if fsum_score(spectrum, band, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestOracle:
+    """estimate against an independent root: bisection of the score, with
+    every band sum exact (math.fsum), no einsum and no series step."""
+
+    @pytest.mark.parametrize(
+        "model, l_max, band, draws",
+        [
+            (MODEL, 20, None, 10),
+            (MODEL, 200, None, 10),
+            (MODEL, 2000, None, 5),
+            (MODEL, 20000, None, 2),
+            (MODEL, 2000, "c_g", 5),
+            (KappaPerturbed(2.0, 3.0, 1.0), 1000, None, 5),
+        ],
+        ids=["L20", "L200", "L2000", "L20000", "narrow", "kappa"],
+    )
+    def test_positive_bands(self, model, l_max, band, draws):
+        # R is convex, so the root in the box is the only one
+        band = narrow_band(l_max, 1.0) if band == "c_g" else full_band(l_max)
+        box = SearchBox()
+        for i in range(draws):
+            spec = sample_empirical(model, l_max, SeedSpec(24, i))
+            result = estimate(spec, band, box)
+            assert not result.boundary_hit
+            reference = bisected_root(spec, band, box.alpha_min, box.alpha_max)
+            assert abs(result.alpha_hat - reference) <= 1e-12
+
+    def test_debiased_bands(self):
+        # the root the search reaches from the midpoint, bracketed around it
+        checked = 0
+        for rep in range(50):
+            try:
+                result = estimate(mc_noise_spectrum(rep))
+            except NonPositiveAmplitude:
+                continue
+            if result.boundary_hit:
+                continue
+            a = result.alpha_hat
+            reference = bisected_root(mc_noise_spectrum(rep), None, a - 1e-3, a + 1e-3)
+            assert abs(a - reference) <= 1e-12
+            checked += 1
+        assert checked >= 45
+
+    def test_debiased_pass_count(self):
+        # the probe pass, then Halley steps and one final series step
+        passes = []
+        for rep in range(200):
+            try:
+                passes.append(estimate(mc_noise_spectrum(rep)).evaluations)
+            except NonPositiveAmplitude:
+                continue
+        assert len(passes) >= 190
+        assert sum(passes) / len(passes) <= 4.0
+
+    def test_large_positive_band_takes_one_pass(self):
+        # the weighted-OLS start lies within _SERIES_STOP of the root
+        for i in range(10):
+            spec = sample_empirical(MODEL, 20000, SeedSpec(42, i))
+            assert estimate(spec).evaluations == 1
+
+
 def outcome(search, *args):
     """(alpha_hat, boundary) of a search, or the class of the error it raises."""
     box = SearchBox()
