@@ -44,10 +44,13 @@ def config_int(value, name: str) -> int:
 def from_json(cls, d: dict):
     """The frozen dataclass cls from its JSON object d: sequences become
     tuples, everything else floats, and a field whose key is absent takes
-    its default (KeyError if it has none)."""
+    its default (KeyError if it has none).  A key that is not a field
+    raises TypeError."""
     # a non-object d (a list, a string) must not yield the defaults
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object, got {d!r}")
+    if unknown := d.keys() - {f.name for f in fields(cls)}:
+        raise TypeError(f"unknown keys {sorted(unknown)}")
     return cls(**{
         f.name: tuple(d[f.name]) if np.ndim(d[f.name]) else float(d[f.name])
         for f in fields(cls)

@@ -213,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SphwhittleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SphwhittleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

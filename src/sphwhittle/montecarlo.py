@@ -1,15 +1,18 @@
 """Seeded replication engine for the estimator's sampling laws.
 
-Each replication i of an experiment draws a spectrum from the stream
-SeedSpec(master_seed, i), estimates the index over the configured band, and
-normalizes the error with the configured scheme.  The model spectrum (and
-noise spectrum) is computed once per run; only the chi-square draw is per
-replication.  The streams are seeded in blocks, bit-identical to
-sampling.generator for each SeedSpec.  Replications whose draw or estimate
-raises a NumericalError (status "error") or that stop on the search
-boundary are counted in boundary_hits and excluded from moment statistics
-(a diverging design would otherwise destroy every statistic); all
-replications appear in the per-replication table with a status column.
+run_experiment executes the replications: replication i draws a spectrum
+from the stream SeedSpec(master_seed, i) and estimates the index over the
+configured band.  The model spectrum (and noise spectrum) is computed once
+per run; only the chi-square draw is per replication.  The streams are
+seeded in blocks, bit-identical to sampling.generator for each SeedSpec.
+
+assemble turns the estimates and their statuses into the report, and is
+the one place a MonteCarloReport is built: it normalizes the errors with
+the configured scheme's factor, computed once.  Replications whose draw or
+estimate raises a NumericalError (status "error") or that stop on the
+search boundary are counted in boundary_hits and excluded from moment
+statistics (a diverging design would otherwise destroy every statistic);
+all replications appear in the per-replication table with a status column.
 
 Replications run on up to one worker per usable CPU, one contiguous range
 of indices per worker.  On Linux the first range runs in this process and
@@ -44,7 +47,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, _draw, _observed, _stream_generators
+from .sampling import SeedSpec, _design, _draw, _stream_generators
 from .spectrum import (
     NoiseModel,
     SpectrumModel,
@@ -54,8 +57,6 @@ from .spectrum import (
     model_to_dict,
     noise_from_dict,
     noise_to_dict,
-    noise_values,
-    spectrum_values,
 )
 from .whittle import (
     Band,
@@ -74,6 +75,7 @@ __all__ = [
     "MonteCarloReport",
     "QuantileRow",
     "Summary",
+    "assemble",
     "run_experiment",
     "quantile_frequencies",
     "shapiro_wilk",
@@ -91,6 +93,8 @@ __all__ = [
 DEFAULT_CUTPOINTS = (-1.96, -1.0, -0.68, 0.0, 0.68, 1.0, 1.96)
 
 _SW_MAX_N = 5000
+
+_EXPERIMENT_KEYS = {"model", "noise", "L", "band", "box", "scheme", "replications", "seed"}
 
 # Forked workers run when each gets at least this many band terms
 # (replications x l_max).  A run_experiment sweep in a numpy-only process, on
@@ -136,15 +140,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class QuantileRow:
-    """Cutpoint frequencies, in percent.
-
-    `percent` follows the reference tail convention (below for cutpoints
-    <= 0, above for positive ones); `percent_below`/`percent_above` are the
-    unambiguous one-sided readings.
-    """
+    """The percent of samples strictly below and strictly above a cutpoint."""
 
     cutpoint: float
-    percent: float
     percent_below: float
     percent_above: float
 
@@ -198,19 +196,10 @@ def quantile_frequencies(
     cutpoints = [float(c) for c in cutpoints]
     if sorted(cutpoints) != cutpoints:
         raise ValueError("cutpoints must be sorted")
-    rows = []
-    for c in cutpoints:
-        below = float((samples < c).mean() * 100.0)
-        above = float((samples > c).mean() * 100.0)
-        rows.append(
-            QuantileRow(
-                cutpoint=c,
-                percent=below if c <= 0 else above,
-                percent_below=below,
-                percent_above=above,
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        QuantileRow(c, float((samples < c).mean() * 100.0), float((samples > c).mean() * 100.0))
+        for c in cutpoints
+    )
 
 
 def shapiro_wilk(samples) -> tuple[float, float]:
@@ -275,30 +264,24 @@ def shapiro_wilk(samples) -> tuple[float, float]:
     return 1.0 - w1, 0.5 * math.erfc((y - mu) / (sigma * math.sqrt(2.0)))
 
 
-def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary:
-    """Raw bias/variance/MSE of alpha_hat - alpha0 plus the normalized list.
+def _moments(x: np.ndarray) -> tuple[float, float, float]:
+    # mean, unbiased (n-1) variance (0 for one value) and mean square; of
+    # raw errors these are bias, variance and MSE, so mse = variance
+    # (n-1)/n + bias^2 exactly
+    return float(x.mean()), float(x.var(ddof=1)) if x.size > 1 else 0.0, float((x**2).mean())
 
-    Variance is the unbiased (n-1) estimator; MSE is the mean of squared raw
-    errors, so mse = variance (n-1)/n + bias^2 exactly.
-    """
-    alpha_hats = np.asarray(alpha_hats, dtype=float)
-    if alpha_hats.size == 0:
+
+def summarize(alpha_hats, alpha0: float, scheme: NormalizationScheme) -> Summary:
+    """Raw bias/variance/MSE of alpha_hat - alpha0 plus the normalized
+    list, as assemble computes them for the ok replications."""
+    errors = np.asarray(alpha_hats, dtype=float) - alpha0
+    if errors.size == 0:
         raise EmptySample("no estimates to summarize")
-    errors = alpha_hats - alpha0
-    n = errors.size
-    bias = float(errors.mean())
-    variance = float(errors.var(ddof=1)) if n > 1 else 0.0
-    mse = float((errors**2).mean())
-    return Summary(
-        bias=bias,
-        variance=variance,
-        mse=mse,
-        normalized=normalization_factor(scheme) * errors,
-    )
+    return Summary(*_moments(errors), normalized=normalization_factor(scheme) * errors)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCarloReport:
-    """Run all replications and assemble the report.
+    """Run all replications and return assemble's report on their outcomes.
 
     threads caps the workers, which never outnumber the CPUs this process
     may use (the default) or the replications; the module docstring says
@@ -312,11 +295,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
-    c = spectrum_values(cfg.model, cfg.l_max)
-    c_n = None
-    if cfg.noise is not None:
-        c_n = noise_values(cfg.noise, cfg.l_max)
-        c = _observed(c, c_n)
+    c, c_n = _design(cfg.model, cfg.noise, cfg.l_max)
 
     def replicate(indices: range) -> list[tuple[float, str]]:
         # each replication is sample_* and estimate on the raw draw; an
@@ -345,41 +324,53 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
         cuts = [cfg.replications * k // n for k in range(n + 1)]
         outcomes = _forked(replicate, list(map(range, cuts[:-1], cuts[1:])))
 
+    return assemble(cfg, *zip(*outcomes))
+
+
+def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
+    """The report on cfg's replications from each one's alpha_hat (nan for
+    an "error") and status ("ok", "boundary" or "error"), in order.
+
+    alpha0 and the scheme's factor are computed once; every moment and the
+    Shapiro-Wilk test (on the first 5000) cover the "ok" replications.
+    Raises ValueError unless there are cfg.replications of each, and
+    AllReplicationsFailed when none is "ok".
+    """
+    all_alpha = np.array(alpha_hats, dtype=float)
+    statuses = tuple(statuses)
+    if all_alpha.shape != (cfg.replications,) or len(statuses) != cfg.replications:
+        raise ValueError(f"need {cfg.replications} alpha_hats and statuses, one per replication")
     alpha0 = asymptotic_params(cfg.model).alpha0
     factor = normalization_factor(cfg.scheme)
-    all_alpha = np.array([a for a, _ in outcomes])
-    statuses = tuple(s for _, s in outcomes)
     ok = np.array([s == "ok" for s in statuses])
-    boundary_hits = int(cfg.replications - ok.sum())
     if not ok.any():
         raise AllReplicationsFailed(
             f"0 of {cfg.replications} replications produced an interior estimate"
         )
 
-    raw = all_alpha[ok]
-    summary = summarize(raw, alpha0, cfg.scheme)
-    normalized = summary.normalized
-    all_normalized = factor * (all_alpha - alpha0)
-
+    errors = all_alpha - alpha0
+    all_normalized = factor * errors
+    normalized = all_normalized[ok]
+    bias, variance_raw, mse = _moments(errors[ok])
+    mean, variance, _ = _moments(normalized)
     sw_sample = normalized[:_SW_MAX_N]
+    sw_w, sw_p = math.nan, math.nan
     if sw_sample.size >= 3 and np.ptp(sw_sample) > 0:
         sw_w, sw_p = shapiro_wilk(sw_sample)
-    else:
-        sw_w, sw_p = float("nan"), float("nan")
 
     return MonteCarloReport(
         replications=cfg.replications,
-        boundary_hits=boundary_hits,
-        mean=float(normalized.mean()),
-        variance=float(normalized.var(ddof=1)) if normalized.size > 1 else 0.0,
-        bias=summary.bias,
-        variance_raw=summary.variance,
-        mse=summary.mse,
+        boundary_hits=int(cfg.replications - ok.sum()),
+        mean=mean,
+        variance=variance,
+        bias=bias,
+        variance_raw=variance_raw,
+        mse=mse,
         sw_w=sw_w,
         sw_p=sw_p,
         quantile_freqs=quantile_frequencies(normalized),
         normalized_errors=normalized,
-        raw_alpha_hats=raw,
+        raw_alpha_hats=all_alpha[ok],
         statuses=statuses,
         all_alpha_hats=all_alpha,
         all_normalized=all_normalized,
@@ -468,18 +459,18 @@ def _report(run, indices: range, fd: int):
 def band_from_dict(d: dict, l_max: int) -> tuple[Band, dict]:
     """Band rule -> (band, resolved form)."""
     match d:
-        case {"type": "full"}:
+        case {"type": "full", **other} if not other:
             return full_band(l_max), {"type": "full"}
-        case {"type": "narrow", "L1": l1}:
+        case {"type": "narrow", "L1": l1, **other} if not other:
             l1 = config_int(l1, "narrow band L1")
             if not 1 <= l1 <= l_max:
                 raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
             return Band(l1, l_max), {"type": "narrow", "L1": l1}
-        case {"type": "narrow", "c_g": c_g}:
+        case {"type": "narrow", "c_g": c_g, **other} if not other:
             c_g = float(c_g)
             return narrow_band(l_max, c_g), {"type": "narrow", "c_g": c_g}
         case {"type": "narrow"}:
-            raise ConfigError("narrow band needs 'L1' or 'c_g'")
+            raise ConfigError(f"narrow band needs one of 'L1' and 'c_g', and no other key: {d!r}")
     raise ConfigError(f"unknown band rule {d!r}")
 
 
@@ -496,15 +487,19 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     reports embed so runs are self-describing.
     """
     with reading_config("experiment config"):
+        if unknown := d.keys() - _EXPERIMENT_KEYS:
+            raise ConfigError(f"unknown experiment config keys {sorted(unknown)}")
         model = model_from_dict(d["model"])
         noise = noise_from_dict(d["noise"]) if d.get("noise") is not None else None
         l_max = config_int(d["L"], "L")
         band, band_resolved = band_from_dict(d.get("band", {"type": "full"}), l_max)
         box = box_from_dict(d.get("box", {}))
         # a "corrected" key, which older configs carry, has no effect
-        tag = d.get("scheme", {"type": "fullband"}).get("type")
+        scheme = d.get("scheme", {"type": "fullband"})
+        if unknown := scheme.keys() - {"type", "corrected"}:
+            raise ConfigError(f"unknown scheme keys {sorted(unknown)}")
         cfg = ExperimentConfig(
-            scheme=NormalizationScheme(tag, band, model, noise),
+            scheme=NormalizationScheme(scheme.get("type"), band, model, noise),
             l_max=l_max,
             box=box,
             replications=config_int(d["replications"], "replications"),

@@ -234,6 +234,17 @@ def _chisq_df(l_max: int) -> np.ndarray:
     return df
 
 
+def _design(model: SpectrumModel, noise: NoiseModel | None, l_max: int) -> tuple:
+    """_draw's (c, c_n): C_l and None, or, with noise, C_T + C_N and C_N.  A
+    sum that overflows is inf, and so is every value drawn from it."""
+    c = spectrum_values(model, l_max)
+    if noise is None:
+        return c, None
+    c_n = noise_values(noise, l_max)
+    with np.errstate(over="ignore"):
+        return c + c_n, c_n
+
+
 def _draw(c: np.ndarray, c_n: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
     """c_l X_l / (2l+1) with X_l ~ chi2(2l+1), minus c_n when it is given (a
     debiased draw, with c = C_T + C_N), formed in the draw's own buffer and
@@ -251,7 +262,7 @@ def _draw(c: np.ndarray, c_n: np.ndarray | None, rng: np.random.Generator) -> np
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Draw C_hat_l = C_l * chi2(2l+1)/(2l+1) for l = 1..l_max."""
-    c = spectrum_values(model, l_max)
+    c, _ = _design(model, None, l_max)
     with np.errstate(over="ignore"):
         return _own(_draw(c, None, generator(seed)), debiased=False)
 
@@ -277,12 +288,6 @@ def empirical_from_alm(coeffs: HarmonicCoefficients) -> EmpiricalSpectrum:
     return EmpiricalSpectrum(values=sums / (2 * l + 1))
 
 
-def _observed(c_t: np.ndarray, c_n: np.ndarray) -> np.ndarray:
-    # C_T + C_N; a sum that overflows is inf, and so is every value drawn
-    with np.errstate(over="ignore"):
-        return c_t + c_n
-
-
 def sample_observed_debiased(
     model: SpectrumModel, noise: NoiseModel, l_max: int, seed: SeedSpec
 ) -> EmpiricalSpectrum:
@@ -291,10 +296,9 @@ def sample_observed_debiased(
     Negative values are retained: they signal multipoles where the noise
     dominates and are meaningful to the estimator's failure diagnostics.
     """
-    c_n = noise_values(noise, l_max)
-    c_obs = _observed(spectrum_values(model, l_max), c_n)
+    c, c_n = _design(model, noise, l_max)
     with np.errstate(over="ignore"):
-        return _own(_draw(c_obs, c_n, generator(seed)), debiased=True)
+        return _own(_draw(c, c_n, generator(seed)), debiased=True)
 
 
 def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:

@@ -284,7 +284,7 @@ def model_from_dict(d: dict) -> SpectrumModel:
         cls = _MODELS.get(d["type"])
         if cls is None:
             raise ConfigError(f"unknown model type {d['type']!r}")
-        return from_json(cls, d)
+        return from_json(cls, {k: v for k, v in d.items() if k != "type"})
 
 
 def model_to_dict(model: SpectrumModel) -> dict:

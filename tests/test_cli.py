@@ -455,6 +455,31 @@ _NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
             for command, base in (("mc", mc_config()), ("simulate", _SIMULATE))
             for name, value in _NOT_NOISE.items()
         ),
+        # a key the program does not read is an error, not a default
+        pytest.param(
+            "mc",
+            mc_config(model={"type": "power_law", "g0": 2.0, "alpha0": 3.0, "kapa": 5}),
+            None,
+            id="mc-model-kapa",
+        ),
+        pytest.param("mc", mc_config(box={"alpha_mn": 4.0}), None, id="mc-box-alpha_mn"),
+        pytest.param("mc", mc_config(noize={"g_n": 1.0, "gamma": 2.2}), None, id="mc-noize"),
+        pytest.param("mc", mc_config(band={"type": "full", "L1": 150}), None, id="mc-full-L1"),
+        pytest.param(
+            "mc", mc_config(band={"type": "narrow", "L1": 100, "c_g": 1.0}), None, id="mc-narrow-both"
+        ),
+        pytest.param(
+            "mc", mc_config(scheme={"type": "fullband", "corected": True}), None, id="mc-scheme-corected"
+        ),
+        pytest.param(
+            "mc", mc_config(noise={"g_n": 1.0, "gamma": 2.2, "gama": 2.2}), None, id="mc-noise-gama"
+        ),
+        pytest.param(
+            "simulate", dict(_SIMULATE, model={**_SIMULATE["model"], "kapa": 5}), None, id="simulate-kapa"
+        ),
+        pytest.param(
+            "estimate", {"band": {"type": "full", "L1": 2}}, _VALID_CSV, id="estimate-full-L1"
+        ),
         pytest.param("simulate", dict(_SIMULATE, exact="false"), None, id="simulate-exact-string"),
         pytest.param("simulate", dict(_SIMULATE, exact=1), None, id="simulate-exact-one"),
         pytest.param(
@@ -581,8 +606,20 @@ def _not_integral(config: dict, csv_text: str | None = None):
     return example(config) if csv_text is None else example(csv_text, config)
 
 
-def _run(subcommand: str, config: dict, csv_text: str | None = None) -> None:
-    rejected = config in _NOT_INTEGRAL
+@st.composite
+def _misspelt(draw, valid):
+    # one key of the config or of an object in it, with an "x" appended
+    config = copy.deepcopy(draw(valid))
+    slots = [(parent, key) for parent, key, _ in _slots(config, None) if isinstance(parent, dict)]
+    parent, key = draw(st.sampled_from(slots))
+    parent[key + "x"] = parent.pop(key)
+    return config
+
+
+def _run(
+    subcommand: str, config: dict, csv_text: str | None = None, rejected: bool = False
+) -> None:
+    rejected = rejected or config in _NOT_INTEGRAL
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         if config.get("input") == "<csv>":
@@ -627,23 +664,22 @@ def test_simulate_any_config(config):
     _run("simulate", config)
 
 
-@_FUZZ
-@given(
-    _corrupted(
-        st.fixed_dictionaries(
-            {
-                "model": _MODEL,
-                "noise": _NOISE,
-                "L": _L,
-                "band": _BAND,
-                "box": _BOX,
-                "scheme": _SCHEME,
-                "replications": st.integers(2, 6),
-                "seed": _SEED,
-            }
-        )
-    )
+_MC = st.fixed_dictionaries(
+    {
+        "model": _MODEL,
+        "noise": _NOISE,
+        "L": _L,
+        "band": _BAND,
+        "box": _BOX,
+        "scheme": _SCHEME,
+        "replications": st.integers(2, 6),
+        "seed": _SEED,
+    }
 )
+
+
+@_FUZZ
+@given(_corrupted(_MC))
 @example(
     # (1 + r_l)^2 overflows in the noise scheme's V_band
     {
@@ -677,6 +713,14 @@ def test_simulate_any_config(config):
 @_not_integral(mc_config(band={"type": "narrow", "L1": 100.5}))
 def test_mc_any_config(config):
     _run("mc", config)
+
+
+@_FUZZ
+@given(_misspelt(_MC))
+def test_mc_misspelt_key_exits_one(config):
+    # every key of an mc config is read: a misspelt one is a config error,
+    # never a run with the default
+    _run("mc", config, rejected=True)
 
 
 def _csv(rows) -> str:

@@ -40,3 +40,12 @@ def test_write_csv_formats_floats_only(tmp_path):
 def test_from_json_defaults():
     assert from_json(SearchBox, {}) == SearchBox()
     assert from_json(SearchBox, {"tol": 1}) == SearchBox(tol=1.0)
+
+
+def test_from_json_rejects_unknown_keys():
+    # a misspelt field must not run as its default
+    with pytest.raises(TypeError, match="alpha_mn"):
+        from_json(SearchBox, {"alpha_mn": 4.0})
+    with pytest.raises(ConfigError, match="alpha_mn"):
+        with reading_config("search box"):
+            from_json(SearchBox, {"alpha_mn": 4.0, "tol": 1e-6})

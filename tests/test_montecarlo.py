@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from sphwhittle import (
     SampleSizeOutOfRange,
     SearchBox,
     SeedSpec,
+    assemble,
     estimate,
     experiment_from_dict,
     experiment_to_dict,
@@ -188,14 +190,14 @@ class TestExperimentConfig:
 class TestQuantileFrequencies:
     def test_counting_example(self):
         rows = quantile_frequencies([-3, -1, 0, 1, 3], cutpoints=(-1.96, 0.0, 1.96))
-        assert [r.percent for r in rows] == [20.0, 40.0, 20.0]
-        assert rows[0].percent_below == 20.0
-        assert rows[2].percent_above == 20.0
+        below, at_zero, above = rows
+        assert [below.percent_below, at_zero.percent_below, above.percent_above] == [20.0, 40.0, 20.0]
+        assert [r.cutpoint for r in rows] == [-1.96, 0.0, 1.96]
 
     def test_normal_tail(self):
         draws = np.random.default_rng(5).standard_normal(10**6)
         rows = quantile_frequencies(draws, cutpoints=(-1.96,))
-        assert rows[0].percent == pytest.approx(2.5, abs=0.1)
+        assert rows[0].percent_below == pytest.approx(2.5, abs=0.1)
 
     def test_empty_cutpoints(self):
         assert quantile_frequencies([1.0, 2.0], cutpoints=()) == ()
@@ -553,6 +555,55 @@ class TestRunExperiment:
         narrow_report = run_experiment(narrow_cfg, threads=4)
         assert narrow_report.variance_raw > full_report.variance_raw
         assert abs(narrow_report.mean) < abs(full_report.mean)
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("design", ["mc-noise", "positive"])
+    def test_rebuilds_run_experiment_report(self, design):
+        # the mc-noise benchmark design at seed 42 has "error" and
+        # "boundary" rows; base_config is positive
+        if design == "mc-noise":
+            common = _bench_common()
+            config = common["mc_config"](common["WORKLOADS"]["mc-noise"], 42, 500)
+        else:
+            config = base_config()
+        cfg, _ = experiment_from_dict(config)
+        r = run_experiment(cfg)
+        assert ("error" in r.statuses) == (design == "mc-noise")
+        rebuilt = assemble(cfg, r.all_alpha_hats, r.statuses)
+        for field in dataclasses.fields(r):
+            mine, theirs = getattr(rebuilt, field.name), getattr(r, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            else:
+                assert repr(mine) == repr(theirs), field.name
+        # summarize is the same moment code on the ok estimates
+        s = summarize(r.raw_alpha_hats, cfg.model.alpha0, cfg.scheme)
+        assert (s.bias, s.variance, s.mse) == (r.bias, r.variance_raw, r.mse)
+        assert s.normalized.tobytes() == r.normalized_errors.tobytes()
+
+    def test_all_errors_raise(self):
+        cfg, _ = experiment_from_dict(base_config(replications=3))
+        with pytest.raises(AllReplicationsFailed):
+            assemble(cfg, [math.nan] * 3, ["error"] * 3)
+
+    @pytest.mark.parametrize("n_alpha, n_status", [(2, 3), (3, 2), (4, 4)])
+    def test_length_mismatch_raises(self, n_alpha, n_status):
+        cfg, _ = experiment_from_dict(base_config(replications=3))
+        with pytest.raises(ValueError, match="3 alpha_hats"):
+            assemble(cfg, [3.0] * n_alpha, ["ok"] * n_status)
+
+    def test_factor_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(scheme):
+            calls.append(scheme)
+            return normalization_factor(scheme)
+
+        monkeypatch.setattr(montecarlo, "normalization_factor", counting)
+        cfg, _ = experiment_from_dict(base_config(replications=20))
+        run_experiment(cfg)
+        assert calls == [cfg.scheme]
 
 
 def _bench_common() -> dict:
