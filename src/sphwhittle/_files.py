@@ -1,10 +1,10 @@
 """The package's boundary with its files: configs in, artifacts out.
 
 A config that is malformed while it is read is a ConfigError
-(reading_config); frozen-dataclass configs go to and from JSON through one
-pair (from_json, to_json); and every artifact is written by write_json or
-write_csv, with "\\n" line endings and floats as shortest round-trip
-decimals.
+(reading_config), and so is a key that it does not read (check_keys);
+frozen-dataclass configs go to and from JSON through one pair (from_json,
+to_json); and every artifact is written by write_json or write_csv, with
+"\\n" line endings and floats as shortest round-trip decimals.
 """
 from __future__ import annotations
 
@@ -28,6 +28,13 @@ def reading_config(what: str):
         raise ConfigError(f"{what} missing key {exc}") from exc
     except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def check_keys(d: dict, allowed, what: str) -> None:
+    """Raise ConfigError if d has a key outside allowed: a key that is not
+    read must not leave its default in force unnoticed."""
+    if unknown := d.keys() - allowed:
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
 
 
 def config_int(value, name: str) -> int:

@@ -1,9 +1,9 @@
 """Closed-form identities behind the estimator's limit theory.
 
 These are the analytic oracles the test suite and the CLI `oracle`
-subcommand compare against: power-log integrals, the weighted log-variance
-sums Z (full band and narrow band), the narrow-band constant k_factor, and
-the consistency lower-bound function u_limit.
+subcommand compare against: the weighted log-variance sums Z (full band
+and narrow band) with the full-band limit, the narrow-band constant
+k_factor, and the consistency lower-bound function u_limit.
 
 The Z sums are differences of O(L^{4+2s} log^2 L) quantities whose leading
 terms cancel, so all accumulation uses math.fsum (exact compensated
@@ -18,38 +18,12 @@ import numpy as np
 from .errors import BandTooNarrow, SingularExponent
 
 __all__ = [
-    "power_log_integral",
     "z_fullband",
     "z_narrowband",
     "k_factor",
     "u_limit",
     "z_limit_fullband",
 ]
-
-
-def power_log_integral(l_lo: float, l_hi: float, s: float, k: int) -> float:
-    """Exact value of the integral of 2 x^(1+s) log^k x over [l_lo, l_hi].
-
-    Closed antiderivatives divide by b = 2 + s, so s = -2 is singular.
-    """
-    if not 0 < l_lo < l_hi:
-        raise ValueError("need 0 < l_lo < l_hi")
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1, or 2")
-    if s == -2:
-        raise SingularExponent("s = -2 makes the antiderivative singular")
-    b = 2.0 + s
-
-    def anti(x: float) -> float:
-        xb = x**b
-        lg = math.log(x)
-        if k == 0:
-            return 2.0 * xb / b
-        if k == 1:
-            return 2.0 * xb * (lg / b - 1.0 / b**2)
-        return 2.0 * xb * (lg * lg / b - 2.0 * lg / b**2 + 2.0 / b**3)
-
-    return anti(l_hi) - anti(l_lo)
 
 
 def _z_sum(l_lo: int, l_hi: int, s: float) -> float:

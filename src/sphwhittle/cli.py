@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from ._files import config_int, reading_config, to_json, write_csv, write_json
+from ._files import check_keys, config_int, reading_config, to_json, write_csv, write_json
 from .asymptotics import k_factor, u_limit, z_fullband, z_limit_fullband, z_narrowband
 from .errors import NumericalError, ConfigError, SphwhittleError
 from .montecarlo import (
@@ -104,6 +104,8 @@ def _out_dir(path: str) -> Path:
 
 
 def _cmd_simulate(config: dict, out: Path) -> None:
+    # "seed" is allowed under "exact": true, as --seed writes it there too
+    check_keys(config, {"model", "noise", "L", "exact", "seed"}, "simulate config")
     with reading_config("simulate config"):
         model = model_from_dict(config["model"])
         noise = noise_from_dict(config["noise"]) if config.get("noise") is not None else None
@@ -125,6 +127,7 @@ def _cmd_simulate(config: dict, out: Path) -> None:
 
 
 def _cmd_estimate(config: dict, out: Path) -> None:
+    check_keys(config, {"input", "L", "band", "box"}, "estimate config")
     path = config.get("input")
     if not isinstance(path, str):
         raise ConfigError("estimate config needs 'input' (spectrum CSV path)")
@@ -158,6 +161,9 @@ def _cmd_mc(config: dict, out: Path, threads: int | None) -> None:
 
 
 def _cmd_oracle(config: dict, out: Path) -> None:
+    check_keys(config, {"L", "L_values", "s_values", "narrow_s_values", "c_g"}, "oracle config")
+    if {"L", "L_values"} <= config.keys():
+        raise ConfigError("oracle config takes one of 'L' and 'L_values', not both")
     rows = []
     # the table is a function of the config alone: a value it cannot take
     # is a config error

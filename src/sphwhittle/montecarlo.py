@@ -38,7 +38,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._files import config_int, from_json, reading_config, to_json, write_csv, write_json
+from ._files import (
+    check_keys, config_int, from_json, reading_config, to_json, write_csv, write_json,
+)
 from .errors import (
     AllReplicationsFailed,
     ConfigError,
@@ -186,19 +188,14 @@ class MonteCarloReport:
     all_normalized: np.ndarray
 
 
-def quantile_frequencies(
-    samples, cutpoints=DEFAULT_CUTPOINTS
-) -> tuple[QuantileRow, ...]:
-    """Sample frequencies at the given sorted cutpoints, in percent."""
+def quantile_frequencies(samples) -> tuple[QuantileRow, ...]:
+    """Sample frequencies at DEFAULT_CUTPOINTS, in percent."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise EmptySample("no samples for quantile frequencies")
-    cutpoints = [float(c) for c in cutpoints]
-    if sorted(cutpoints) != cutpoints:
-        raise ValueError("cutpoints must be sorted")
     return tuple(
         QuantileRow(c, float((samples < c).mean() * 100.0), float((samples > c).mean() * 100.0))
-        for c in cutpoints
+        for c in DEFAULT_CUTPOINTS
     )
 
 
@@ -487,8 +484,7 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     reports embed so runs are self-describing.
     """
     with reading_config("experiment config"):
-        if unknown := d.keys() - _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown experiment config keys {sorted(unknown)}")
+        check_keys(d, _EXPERIMENT_KEYS, "experiment config")
         model = model_from_dict(d["model"])
         noise = noise_from_dict(d["noise"]) if d.get("noise") is not None else None
         l_max = config_int(d["L"], "L")
@@ -496,8 +492,7 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
         box = box_from_dict(d.get("box", {}))
         # a "corrected" key, which older configs carry, has no effect
         scheme = d.get("scheme", {"type": "fullband"})
-        if unknown := scheme.keys() - {"type", "corrected"}:
-            raise ConfigError(f"unknown scheme keys {sorted(unknown)}")
+        check_keys(scheme, {"type", "corrected"}, "scheme")
         cfg = ExperimentConfig(
             scheme=NormalizationScheme(scheme.get("type"), band, model, noise),
             l_max=l_max,
@@ -508,13 +503,9 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
     return cfg, experiment_to_dict(cfg, band_resolved)
 
 
-def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict | None = None) -> dict:
-    """JSON form of a config with all defaults expanded."""
-    if band_resolved is None:
-        if cfg.band.l_lo == 1:
-            band_resolved = {"type": "full"}
-        else:
-            band_resolved = {"type": "narrow", "L1": cfg.band.l_lo}
+def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict) -> dict:
+    """JSON form of a config with all defaults expanded; band_resolved is
+    band_from_dict's resolved band rule."""
     return {
         "model": model_to_dict(cfg.model),
         "noise": noise_to_dict(cfg.noise) if cfg.noise else None,

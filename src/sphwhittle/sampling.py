@@ -1,9 +1,10 @@
-"""Sampling of empirical angular power spectra and harmonic coefficients.
+"""Sampling of empirical angular power spectra.
 
 For a Gaussian isotropic field the empirical spectrum at multipole l is
 C_hat_l = C_l * X_l / (2l+1) with X_l ~ chi-square(2l+1), independent over l:
 the (2l+1) real harmonic coefficients at level l are independent normals with
-Var(a_l0) = C_l and Var(Re a_lm) = Var(Im a_lm) = C_l / 2 for m >= 1.
+Var(a_l0) = C_l and Var(Re a_lm) = Var(Im a_lm) = C_l / 2 for m >= 1, and
+C_hat_l is drawn from that law directly, without the coefficients.
 
 Every draw is keyed by a SeedSpec (master seed, stream index), one
 independent stream per replication, so parallel experiments are bit-for-bit
@@ -24,17 +25,14 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from ._files import write_csv
-from .errors import NonFiniteValue, NonPositiveValue, OutOfRange
+from .errors import NonFiniteValue, NonPositiveValue
 from .spectrum import NoiseModel, SpectrumModel, noise_values, spectrum_values
 
 __all__ = [
     "EmpiricalSpectrum",
-    "HarmonicCoefficients",
     "SeedSpec",
     "generator",
     "sample_empirical",
-    "sample_alm",
-    "empirical_from_alm",
     "sample_observed_debiased",
     "write_spectrum_csv",
     "read_spectrum_csv",
@@ -83,36 +81,6 @@ def _own(values: np.ndarray, debiased: bool) -> EmpiricalSpectrum:
     object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "debiased", debiased)
     return spectrum
-
-
-@dataclass(frozen=True)
-class HarmonicCoefficients:
-    """Flat real coefficient layout for l = 1..l_max.
-
-    Level l occupies data[l*l - 1 : l*l + 2*l] as
-    [a_l0, Re a_l1, Im a_l1, ..., Re a_ll, Im a_ll] (2l+1 reals), so the
-    total length is l_max * (l_max + 2).
-    """
-
-    data: np.ndarray
-    l_max: int
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=float)
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
-        expected = self.l_max * (self.l_max + 2)
-        if data.ndim != 1 or data.size != expected:
-            raise ValueError(f"data must have length {expected}, got {data.size}")
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    def level(self, l: int) -> np.ndarray:
-        """Return the 2l+1 coefficients of level l."""
-        if not 1 <= l <= self.l_max:
-            raise OutOfRange(f"level must be in [1, {self.l_max}], got {l}")
-        return self.data[l * l - 1 : l * l + 2 * l]
 
 
 @dataclass(frozen=True)
@@ -267,27 +235,6 @@ def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> Empiri
         return _own(_draw(c, None, generator(seed)), debiased=False)
 
 
-def sample_alm(model: SpectrumModel, l_max: int, seed: SeedSpec) -> HarmonicCoefficients:
-    """Draw the flat harmonic coefficient vector for l = 1..l_max."""
-    c = spectrum_values(model, l_max)
-    l = np.arange(1, l_max + 1)
-    counts = 2 * l + 1
-    # per-entry standard deviations: sqrt(C_l) at m=0, sqrt(C_l/2) otherwise
-    sd = np.repeat(np.sqrt(c / 2.0), counts)
-    sd[l * l - 1] = np.sqrt(c)
-    z = generator(seed).standard_normal(sd.size)
-    return HarmonicCoefficients(data=sd * z, l_max=l_max)
-
-
-def empirical_from_alm(coeffs: HarmonicCoefficients) -> EmpiricalSpectrum:
-    """Compute C_hat_l = (a_l0^2 + 2 sum_m (Re^2 + Im^2)) / (2l+1)."""
-    l = np.arange(1, coeffs.l_max + 1)
-    weights = np.full(coeffs.data.size, 2.0)
-    weights[l * l - 1] = 1.0
-    sums = np.add.reduceat(weights * coeffs.data**2, l * l - 1)
-    return EmpiricalSpectrum(values=sums / (2 * l + 1))
-
-
 def sample_observed_debiased(
     model: SpectrumModel, noise: NoiseModel, l_max: int, seed: SeedSpec
 ) -> EmpiricalSpectrum:
@@ -306,11 +253,11 @@ def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:
     write_csv(path, ["l", "c_hat"], enumerate(spectrum.values, start=1))
 
 
-def read_spectrum_csv(path: str | Path, debiased: bool | None = None) -> EmpiricalSpectrum:
+def read_spectrum_csv(path: str | Path) -> EmpiricalSpectrum:
     """Read a `l,c_hat` file; rows must cover l = 1..L in order.
 
-    When debiased is None the flag is inferred: any value <= 0 marks the
-    spectrum as debiased (a non-debiased spectrum is positive by construction).
+    Any value <= 0 marks the spectrum as debiased (a non-debiased spectrum
+    is positive by construction).
     """
     values = []
     with open(path, newline="") as fh:
@@ -325,6 +272,4 @@ def read_spectrum_csv(path: str | Path, debiased: bool | None = None) -> Empiric
                 raise ValueError(f"row {i}: multipoles must run 1..L in order")
             values.append(float(row[1]))
     arr = np.array(values, dtype=float)
-    if debiased is None:
-        debiased = bool((arr <= 0).any())
-    return EmpiricalSpectrum(values=arr, debiased=debiased)
+    return EmpiricalSpectrum(values=arr, debiased=bool((arr <= 0).any()))

@@ -10,7 +10,7 @@ alpha0 = 2.
 
 Each model class carries its formula, values_at(l) on an array of float
 multipoles, its large-l parameters and its JSON tag; the module functions
-call them, so single and array evaluations are one computation.
+call them.
 """
 from __future__ import annotations
 
@@ -31,9 +31,7 @@ __all__ = [
     "SpectrumModel",
     "NoiseModel",
     "AsymptoticParams",
-    "spectrum_value",
     "spectrum_values",
-    "noise_value",
     "noise_values",
     "asymptotic_params",
     "model_from_dict",
@@ -253,21 +251,9 @@ def _values(model: SpectrumModel | NoiseModel, l_max: int) -> np.ndarray:
 _cached_values = functools.lru_cache(maxsize=8)(_values)
 
 
-def spectrum_value(model: SpectrumModel, l: int) -> float:
-    """Return C_l for a single multipole l >= 1."""
-    if l < 1:
-        raise OutOfRange(f"multipole must be >= 1, got {l}")
-    return float(_evaluate(model, np.array([float(l)]))[0])
-
-
 def noise_values(noise: NoiseModel, l_max: int) -> np.ndarray:
     """Return C_N,l for l = 1..l_max, read-only, as spectrum_values does."""
     return spectrum_values(noise, l_max)
-
-
-def noise_value(noise: NoiseModel, l: int) -> float:
-    """Return C_N,l for a single multipole."""
-    return spectrum_value(noise, l)
 
 
 def asymptotic_params(model: SpectrumModel) -> AsymptoticParams:

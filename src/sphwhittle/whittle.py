@@ -70,7 +70,6 @@ __all__ = [
     "curvature",
     "estimate",
     "normalization_factor",
-    "debiased_variance_ratio",
 ]
 
 _MAX_EVALS = 200
@@ -558,14 +557,3 @@ def normalization_factor(scheme: NormalizationScheme) -> float:
     if not (math.isfinite(factor) and factor > 0):
         raise NonFiniteValue(f"{scheme.tag} normalization factor is {factor}")
     return factor
-
-
-def debiased_variance_ratio(l: int, c_t: float, c_n: float = 0.0) -> float:
-    """Var(debiased C-tilde_l / C_T,l) = (2/(2l+1)) (1 + c_n/c_t)^2."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if not c_t > 0:
-        raise ValueError("c_t must be positive")
-    if c_n < 0:
-        raise ValueError("c_n must be nonnegative")
-    return 2.0 / (2.0 * l + 1.0) * (1.0 + c_n / c_t) ** 2

@@ -9,12 +9,37 @@ from sphwhittle import (
     BandTooNarrow,
     SingularExponent,
     k_factor,
-    power_log_integral,
     u_limit,
     z_fullband,
     z_limit_fullband,
     z_narrowband,
 )
+
+
+def power_log_integral(l_lo: float, l_hi: float, s: float, k: int) -> float:
+    """Exact value of the integral of 2 x^(1+s) log^k x over [l_lo, l_hi],
+    the continuous analogue of the sums A_k behind Z.
+
+    Closed antiderivatives divide by b = 2 + s, so s = -2 is singular.
+    """
+    if not 0 < l_lo < l_hi:
+        raise ValueError("need 0 < l_lo < l_hi")
+    if k not in (0, 1, 2):
+        raise ValueError("k must be 0, 1, or 2")
+    if s == -2:
+        raise SingularExponent("s = -2 makes the antiderivative singular")
+    b = 2.0 + s
+
+    def anti(x: float) -> float:
+        xb = x**b
+        lg = math.log(x)
+        if k == 0:
+            return 2.0 * xb / b
+        if k == 1:
+            return 2.0 * xb * (lg / b - 1.0 / b**2)
+        return 2.0 * xb * (lg * lg / b - 2.0 * lg / b**2 + 2.0 / b**3)
+
+    return anti(l_hi) - anti(l_lo)
 
 
 def brute_z(l_lo: int, l_hi: int, s: float) -> float:

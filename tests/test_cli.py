@@ -480,6 +480,13 @@ _NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
         pytest.param(
             "estimate", {"band": {"type": "full", "L1": 2}}, _VALID_CSV, id="estimate-full-L1"
         ),
+        # so is a top-level key that the subcommand does not read
+        pytest.param("simulate", dict(_SIMULATE, exakt=True), None, id="simulate-exakt"),
+        pytest.param(
+            "estimate", {"bnad": {"type": "narrow", "L1": 2}}, _VALID_CSV, id="estimate-bnad"
+        ),
+        pytest.param("oracle", {"L_valus": [10]}, None, id="oracle-L_valus"),
+        pytest.param("oracle", {"L": 10, "L_values": [20]}, None, id="oracle-L-and-L_values"),
         pytest.param("simulate", dict(_SIMULATE, exact="false"), None, id="simulate-exact-string"),
         pytest.param("simulate", dict(_SIMULATE, exact=1), None, id="simulate-exact-one"),
         pytest.param(
@@ -641,20 +648,13 @@ def _run(
 _FUZZ = settings(max_examples=60, deadline=None)
 
 
-@_FUZZ
-@given(
-    _corrupted(
-        st.fixed_dictionaries(
-            {
-                "model": _MODEL,
-                "noise": _NOISE,
-                "L": _L,
-                "seed": _SEED,
-                "exact": st.booleans(),
-            }
-        )
-    )
+_SIM = st.fixed_dictionaries(
+    {"model": _MODEL, "noise": _NOISE, "L": _L, "seed": _SEED, "exact": st.booleans()}
 )
+
+
+@_FUZZ
+@given(_corrupted(_SIM))
 @example({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 1e18, "seed": 0})
 @example({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 1e19, "seed": 0})
 @_not_integral({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": 50.9, "seed": 1})
@@ -662,6 +662,12 @@ _FUZZ = settings(max_examples=60, deadline=None)
 @_not_integral({"model": {"type": "power_law", "g0": 1.0, "alpha0": 3.0}, "L": True, "seed": 1})
 def test_simulate_any_config(config):
     _run("simulate", config)
+
+
+@_FUZZ
+@given(_misspelt(_SIM))
+def test_simulate_misspelt_key_exits_one(config):
+    _run("simulate", config, rejected=True)
 
 
 _MC = st.fixed_dictionaries(
@@ -740,16 +746,13 @@ _CSV = st.one_of(
 )
 
 
-@_FUZZ
-@given(
-    _CSV,
-    _corrupted(
-        st.fixed_dictionaries(
-            {"input": st.just("<csv>"), "band": _BAND, "box": _BOX},
-            optional={"L": _L},
-        )
-    ),
+_ESTIMATE = st.fixed_dictionaries(
+    {"input": st.just("<csv>"), "band": _BAND, "box": _BOX}, optional={"L": _L}
 )
+
+
+@_FUZZ
+@given(_CSV, _corrupted(_ESTIMATE))
 @_not_integral({"input": "<csv>", "L": 3.5}, _VALID_CSV)
 @_not_integral({"input": "<csv>", "band": {"type": "narrow", "L1": 1.5}}, _VALID_CSV)
 def test_estimate_any_config(csv_text, config):
@@ -757,25 +760,31 @@ def test_estimate_any_config(csv_text, config):
 
 
 @_FUZZ
-@given(
-    _corrupted(
-        st.tuples(
-            # L or L_values is always there: the default grid reaches L = 1e5
-            st.one_of(
-                st.fixed_dictionaries({"L": _L}),
-                st.fixed_dictionaries({"L_values": st.lists(_L, max_size=3)}),
-            ),
-            st.fixed_dictionaries(
-                {
-                    "s_values": st.lists(st.floats(-1.9, 4), max_size=3),
-                    "narrow_s_values": st.lists(st.floats(-1.9, 4), max_size=3),
-                    "c_g": st.floats(0.05, 1),
-                }
-            ),
-        ).map(lambda parts: {**parts[0], **parts[1]}),
-        keep=frozenset({"L", "L_values"}),
-    )
-)
+@given(_misspelt(_ESTIMATE))
+def test_estimate_misspelt_key_exits_one(config):
+    # on a valid 50-row spectrum
+    rows = ((l, 2.0 * l**-3.0) for l in range(1, 51))
+    _run("estimate", config, _csv(rows), rejected=True)
+
+
+_ORACLE = st.tuples(
+    # L or L_values is always there: the default grid reaches L = 1e5
+    st.one_of(
+        st.fixed_dictionaries({"L": _L}),
+        st.fixed_dictionaries({"L_values": st.lists(_L, max_size=3)}),
+    ),
+    st.fixed_dictionaries(
+        {
+            "s_values": st.lists(st.floats(-1.9, 4), max_size=3),
+            "narrow_s_values": st.lists(st.floats(-1.9, 4), max_size=3),
+            "c_g": st.floats(0.05, 1),
+        }
+    ),
+).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@_FUZZ
+@given(_corrupted(_ORACLE, keep=frozenset({"L", "L_values"})))
 @example({"L": 2, "s_values": [math.inf]})
 @example({"L": 1e18})
 @example({"L_values": [10, 1e19]})
@@ -783,3 +792,9 @@ def test_estimate_any_config(csv_text, config):
 @_not_integral({"L_values": [10, 20.5]})
 def test_oracle_any_config(config):
     _run("oracle", config)
+
+
+@_FUZZ
+@given(_misspelt(_ORACLE))
+def test_oracle_misspelt_key_exits_one(config):
+    _run("oracle", config, rejected=True)

@@ -158,10 +158,6 @@ class TestExperimentConfig:
         cfg, _ = experiment_from_dict(base_config(L=3e2, replications=1e2, seed=9.0))
         assert (cfg.l_max, cfg.replications, cfg.master_seed) == (300, 100, 9)
 
-    def test_experiment_to_dict_infers_band(self):
-        cfg, _ = experiment_from_dict(base_config())
-        assert experiment_to_dict(cfg)["band"] == {"type": "full"}
-
     @pytest.mark.parametrize(
         "overrides, scheme",
         [
@@ -184,39 +180,29 @@ class TestExperimentConfig:
         assert resolved == experiment_to_dict(cfg, resolved["band"])
         expected = dict(base_config(**overrides), scheme=scheme)
         assert json.dumps(resolved) == json.dumps(expected)
-        assert json.dumps(experiment_to_dict(cfg)["scheme"]) == json.dumps(scheme)
+        assert json.dumps(experiment_to_dict(cfg, resolved["band"])["scheme"]) == json.dumps(scheme)
 
 
 class TestQuantileFrequencies:
     def test_counting_example(self):
-        rows = quantile_frequencies([-3, -1, 0, 1, 3], cutpoints=(-1.96, 0.0, 1.96))
-        below, at_zero, above = rows
+        rows = quantile_frequencies([-3, -1, 0, 1, 3])
+        assert [r.cutpoint for r in rows] == [-1.96, -1.0, -0.68, 0.0, 0.68, 1.0, 1.96]
+        below, at_zero, above = rows[0], rows[3], rows[6]
         assert [below.percent_below, at_zero.percent_below, above.percent_above] == [20.0, 40.0, 20.0]
-        assert [r.cutpoint for r in rows] == [-1.96, 0.0, 1.96]
 
     def test_normal_tail(self):
         draws = np.random.default_rng(5).standard_normal(10**6)
-        rows = quantile_frequencies(draws, cutpoints=(-1.96,))
+        rows = quantile_frequencies(draws)
         assert rows[0].percent_below == pytest.approx(2.5, abs=0.1)
-
-    def test_empty_cutpoints(self):
-        assert quantile_frequencies([1.0, 2.0], cutpoints=()) == ()
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
-            quantile_frequencies([], cutpoints=(0.0,))
-
-    def test_unsorted_cutpoints_rejected(self):
-        with pytest.raises(ValueError):
-            quantile_frequencies([1.0], cutpoints=(1.0, -1.0))
+            quantile_frequencies([])
 
     @settings(max_examples=50)
-    @given(
-        samples=st.lists(st.floats(-50, 50), min_size=1, max_size=200),
-        cuts=st.lists(st.floats(-3, 3), min_size=1, max_size=7).map(sorted),
-    )
-    def test_monotone_below_column(self, samples, cuts):
-        rows = quantile_frequencies(samples, cutpoints=cuts)
+    @given(samples=st.lists(st.floats(-50, 50), min_size=1, max_size=200))
+    def test_monotone_below_column(self, samples):
+        rows = quantile_frequencies(samples)
         belows = [r.percent_below for r in rows]
         assert all(b <= a2 for b, a2 in zip(belows, belows[1:]))
         for r in rows:

@@ -8,22 +8,47 @@ from scipy import stats
 from sphwhittle import (
     EmpiricalSpectrum,
     ExactPowerLaw,
-    HarmonicCoefficients,
     NoiseModel,
     NonFiniteValue,
     SeedSpec,
-    debiased_variance_ratio,
-    empirical_from_alm,
     read_spectrum_csv,
-    sample_alm,
     sample_empirical,
     sample_observed_debiased,
-    spectrum_value,
+    spectrum_values,
     write_spectrum_csv,
 )
 from sphwhittle.sampling import _SEED_BLOCK, _stream_generators, _stream_words, generator
 
 MODEL = ExactPowerLaw(2.0, 3.0)
+
+
+# The reference for the chi-square shortcut: the 2l+1 real harmonic
+# coefficients of level l, flat over l = 1..l_max, level l at
+# [l*l - 1, l*l + 2l) as [a_l0, Re a_l1, Im a_l1, ..., Re a_ll, Im a_ll],
+# with Var(a_l0) = C_l and Var(Re a_lm) = Var(Im a_lm) = C_l / 2.
+def sample_alm(model, l_max: int, seed: SeedSpec) -> np.ndarray:
+    c = spectrum_values(model, l_max)
+    l = np.arange(1, l_max + 1)
+    sd = np.repeat(np.sqrt(c / 2.0), 2 * l + 1)
+    sd[l * l - 1] = np.sqrt(c)
+    return sd * generator(seed).standard_normal(sd.size)
+
+
+def alm_level(alm: np.ndarray, l: int) -> np.ndarray:
+    return alm[l * l - 1 : l * l + 2 * l]
+
+
+def c_hat_from_alm(alm: np.ndarray, l_max: int) -> np.ndarray:
+    # C_hat_l = (a_l0^2 + 2 sum_m (Re^2 + Im^2)) / (2l+1)
+    l = np.arange(1, l_max + 1)
+    weights = np.full(alm.size, 2.0)
+    weights[l * l - 1] = 1.0
+    return np.add.reduceat(weights * alm**2, l * l - 1) / (2 * l + 1)
+
+
+def debiased_variance_ratio(l: int, c_t: float, c_n: float = 0.0) -> float:
+    # Var(debiased C_hat_l / C_T,l) = (2/(2l+1)) (1 + c_n/c_t)^2
+    return 2.0 / (2.0 * l + 1.0) * (1.0 + c_n / c_t) ** 2
 
 
 class TestEmpiricalSpectrum:
@@ -128,7 +153,7 @@ class TestSampleEmpirical:
         # mean of C_hat/C within 1 +/- 0.01 and variance within 2/101 +/- 10%
         # over 1e5 replications
         n = 100_000
-        c50 = spectrum_value(MODEL, 50)
+        c50 = spectrum_values(MODEL, 50)[49]
         ratios = np.empty(n)
         for i in range(n):
             ratios[i] = sample_empirical(MODEL, 50, SeedSpec(501, i)).values[49] / c50
@@ -137,7 +162,7 @@ class TestSampleEmpirical:
 
     def test_chi_squared_law_at_l10(self):
         n = 10_000
-        c10 = spectrum_value(MODEL, 10)
+        c10 = spectrum_values(MODEL, 10)[9]
         draws = np.empty(n)
         for i in range(n):
             draws[i] = sample_empirical(MODEL, 10, SeedSpec(77, i)).values[9] / c10 * 21
@@ -146,23 +171,13 @@ class TestSampleEmpirical:
 
 
 class TestSampleAlm:
-    def test_smallest_case_layout(self):
-        coeffs = sample_alm(MODEL, 1, SeedSpec(1, 0))
-        assert coeffs.data.shape == (3,)
-        assert coeffs.l_max == 1
-
-    def test_total_length(self):
-        coeffs = sample_alm(MODEL, 12, SeedSpec(1, 0))
-        assert coeffs.data.shape == (12 * 14,)
-        assert coeffs.level(12).shape == (25,)
-
     def test_coefficient_variances_at_l5(self):
         n = 100_000
-        c5 = spectrum_value(MODEL, 5)
+        c5 = spectrum_values(MODEL, 5)[4]
         a0 = np.empty(n)
         re3 = np.empty(n)
         for i in range(n):
-            level = sample_alm(MODEL, 5, SeedSpec(55, i)).level(5)
+            level = alm_level(sample_alm(MODEL, 5, SeedSpec(55, i)), 5)
             a0[i] = level[0]
             re3[i] = level[5]
         assert abs(a0.var(ddof=1) - c5) < 0.02 * c5
@@ -172,36 +187,30 @@ class TestSampleAlm:
         # two-sample KS on C_hat_l/C_l at l=20 between the coefficient route
         # and the direct chi-squared route
         n = 10_000
-        c20 = spectrum_value(MODEL, 20)
+        c20 = spectrum_values(MODEL, 20)[19]
         via_alm = np.empty(n)
         direct = np.empty(n)
         for i in range(n):
-            via_alm[i] = empirical_from_alm(sample_alm(MODEL, 20, SeedSpec(81, i))).values[19]
+            via_alm[i] = c_hat_from_alm(sample_alm(MODEL, 20, SeedSpec(81, i)), 20)[19]
             direct[i] = sample_empirical(MODEL, 20, SeedSpec(82, i)).values[19]
         stat = stats.ks_2samp(via_alm / c20, direct / c20).statistic
         assert stat < 1.628 * math.sqrt(2 / n)
 
 
 class TestEmpiricalFromAlm:
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_from_alm(HarmonicCoefficients(np.zeros(3), 1))
-
     def test_single_multipole_m0_only(self):
-        spec = empirical_from_alm(HarmonicCoefficients(np.array([1.0, 0.0, 0.0]), 1))
-        assert spec.values[0] == pytest.approx(1 / 3, rel=1e-15)
+        assert c_hat_from_alm(np.array([1.0, 0.0, 0.0]), 1)[0] == pytest.approx(1 / 3, rel=1e-15)
 
     def test_single_multipole_full(self):
-        spec = empirical_from_alm(HarmonicCoefficients(np.array([1.0, 1.0, 1.0]), 1))
-        assert spec.values[0] == pytest.approx(5 / 3, rel=1e-15)
+        assert c_hat_from_alm(np.array([1.0, 1.0, 1.0]), 1)[0] == pytest.approx(5 / 3, rel=1e-15)
 
     def test_matches_brute_force(self):
-        coeffs = sample_alm(MODEL, 8, SeedSpec(3, 0))
-        spec = empirical_from_alm(coeffs)
+        alm = sample_alm(MODEL, 8, SeedSpec(3, 0))
+        c_hat = c_hat_from_alm(alm, 8)
         for l in range(1, 9):
-            level = coeffs.level(l)
+            level = alm_level(alm, l)
             brute = (level[0] ** 2 + 2 * (level[1:] ** 2).sum()) / (2 * l + 1)
-            assert spec.values[l - 1] == pytest.approx(brute, rel=1e-13)
+            assert c_hat[l - 1] == pytest.approx(brute, rel=1e-13)
 
 
 class TestSampleObservedDebiased:
@@ -217,7 +226,7 @@ class TestSampleObservedDebiased:
     def test_debiased_moments_at_l30(self):
         n = 100_000
         noise = NoiseModel(1.0, 2.5)
-        c_t = spectrum_value(MODEL, 30)
+        c_t = spectrum_values(MODEL, 30)[29]
         c_n = 30.0**-2.5
         vals = np.empty(n)
         for i in range(n):
@@ -232,6 +241,10 @@ class TestSampleObservedDebiased:
         mu4 = (12 / nu**2 + 48 / nu**3) * (1 + c_n / c_t) ** 4
         se = math.sqrt((mu4 - target**2 * (n - 3) / (n - 1)) / n)
         assert abs(ratio_var - target) < 3 * se
+
+    def test_debiased_variance_ratio(self):
+        assert debiased_variance_ratio(50, 1.0) == pytest.approx(2 / 101, rel=1e-15)
+        assert debiased_variance_ratio(1, 2.0, 2.0) == pytest.approx(8 / 3, rel=1e-15)
 
 
 class TestCsv:

@@ -19,9 +19,7 @@ from sphwhittle import (
     model_to_dict,
     noise_from_dict,
     noise_to_dict,
-    noise_value,
     noise_values,
-    spectrum_value,
     spectrum_values,
 )
 from sphwhittle.errors import ConfigError
@@ -29,20 +27,18 @@ from sphwhittle.errors import ConfigError
 
 class TestSpectrumValue:
     def test_power_law_at_one(self):
-        assert spectrum_value(ExactPowerLaw(2.0, 3.0), 1) == 2.0
+        assert spectrum_values(ExactPowerLaw(2.0, 3.0), 1)[0] == 2.0
 
     def test_power_law_at_two(self):
-        assert spectrum_value(ExactPowerLaw(2.0, 3.0), 2) == pytest.approx(0.25, rel=1e-14)
+        assert spectrum_values(ExactPowerLaw(2.0, 3.0), 2)[1] == pytest.approx(0.25, rel=1e-14)
 
     def test_rational_direct(self):
         m = Rational(p=(1.0, 1.0), q=(1.0, 0.0), alpha0=3.0)
-        assert spectrum_value(m, 10) == pytest.approx(1.1e-3, rel=1e-12)
+        assert spectrum_values(m, 10)[9] == pytest.approx(1.1e-3, rel=1e-12)
 
     def test_tabulated_lookup_and_out_of_range(self):
         m = Tabulated(values=(1.0, 0.5, 0.25))
-        assert spectrum_value(m, 3) == 0.25
-        with pytest.raises(OutOfRange):
-            spectrum_value(m, 4)
+        assert spectrum_values(m, 3)[2] == 0.25
         with pytest.raises(OutOfRange):
             spectrum_values(m, 4)
 
@@ -67,8 +63,6 @@ class TestSpectrumValue:
         ):
             vals = spectrum_values(m, 50)
             assert vals.shape == (50,)
-            for l in (1, 2, 17, 50):
-                assert vals[l - 1] == spectrum_value(m, l)
 
     def test_all_values_positive(self):
         for m in (
@@ -129,15 +123,14 @@ class TestAsymptoticParams:
 
 class TestNoise:
     def test_values(self):
-        assert noise_value(NoiseModel(1.0, 2.5), 1) == 1.0
-        assert noise_value(NoiseModel(1.0, 2.5), 4) == pytest.approx(0.03125, rel=1e-13)
-        assert noise_value(NoiseModel(0.5, 3.0), 10) == pytest.approx(5e-4, rel=1e-13)
+        assert noise_values(NoiseModel(1.0, 2.5), 4)[0] == 1.0
+        assert noise_values(NoiseModel(1.0, 2.5), 4)[3] == pytest.approx(0.03125, rel=1e-13)
+        assert noise_values(NoiseModel(0.5, 3.0), 10)[9] == pytest.approx(5e-4, rel=1e-13)
 
     def test_vector_matches_scalar(self):
-        n = NoiseModel(0.7, 2.2)
-        vals = noise_values(n, 30)
-        for l in (1, 2, 10, 30):
-            assert vals[l - 1] == noise_value(n, l)
+        vals = noise_values(NoiseModel(0.7, 2.2), 30)
+        assert vals.shape == (30,)
+        assert not vals.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -151,21 +144,21 @@ class TestEnvelopeAndPerturbation:
         # C_l l^alpha0 stays between computable constants for each variant
         ls = np.unique(np.geomspace(1, 1e5, 200).astype(int))
         m = KappaPerturbed(2.0, 3.0, kappa=-0.5)
-        ratios = np.array([spectrum_value(m, int(l)) * float(l) ** 3.0 for l in ls])
+        ratios = spectrum_values(m, int(ls[-1]))[ls - 1] * ls.astype(float) ** 3.0
         assert (ratios >= 2.0 * 0.5 - 1e-12).all()
         assert (ratios <= 2.0 + 1e-12).all()
 
     def test_kappa_first_order_exact(self):
         m = KappaPerturbed(2.0, 3.0, kappa=0.7)
         for l in (1, 3, 10, 1000, 10**5):
-            lhs = l * (spectrum_value(m, l) * float(l) ** 3.0 / 2.0 - 1.0)
+            lhs = l * (spectrum_values(m, l)[l - 1] * float(l) ** 3.0 / 2.0 - 1.0)
             assert lhs == pytest.approx(0.7, rel=1e-9)
 
     def test_rational_first_order_limit(self):
         m = Rational(p=(3.0, 6.0, 0.0), q=(1.0, 1.0, 1.0), alpha0=4.0)
         kappa = asymptotic_params(m).kappa
         l = 10**6
-        lhs = l * (spectrum_value(m, l) * float(l) ** 4.0 / 3.0 - 1.0)
+        lhs = l * (spectrum_values(m, l)[l - 1] * float(l) ** 4.0 / 3.0 - 1.0)
         # remaining error is the second-order term, of size ~ const/l
         assert abs(lhs - kappa) < 10 * 10 / l
 
@@ -178,7 +171,7 @@ class TestEnvelopeAndPerturbation:
 def test_power_law_scaling_property(g0, alpha0, l):
     m = ExactPowerLaw(g0, alpha0)
     expected = g0 * math.exp(-alpha0 * math.log(l))
-    assert spectrum_value(m, l) == pytest.approx(expected, rel=1e-12)
+    assert spectrum_values(m, l)[l - 1] == pytest.approx(expected, rel=1e-12)
 
 
 class TestDictRoundTrip:

@@ -20,7 +20,6 @@ from sphwhittle import (
     SeedSpec,
     UnsupportedRegime,
     curvature,
-    debiased_variance_ratio,
     estimate,
     experiment_from_dict,
     full_band,
@@ -847,7 +846,3 @@ class TestNoiseConstants:
     def test_variance_constant(self):
         assert noise_variance_constant(0.0) == pytest.approx(1.0, rel=1e-15)
         assert noise_variance_constant(0.5) == pytest.approx(1.25 / 3.375, rel=1e-14)
-
-    def test_debiased_variance_ratio(self):
-        assert debiased_variance_ratio(50, 1.0) == pytest.approx(2 / 101, rel=1e-15)
-        assert debiased_variance_ratio(1, 2.0, 2.0) == pytest.approx(8 / 3, rel=1e-15)
