@@ -1,7 +1,8 @@
 """The package's boundary with its files: configs in, artifacts out.
 
 A config that is malformed while it is read is a ConfigError
-(reading_config), and so is a key that it does not read (check_keys);
+(reading_config), and so is a key that it does not read (check_keys) and
+a bool or a string in a number's place (config_int, config_float);
 frozen-dataclass configs go to and from JSON through one pair (from_json,
 to_json); and every artifact is written by write_json or write_csv, with
 "\\n" line endings and floats as shortest round-trip decimals.
@@ -13,8 +14,6 @@ import csv
 import json
 import numbers
 from dataclasses import MISSING, asdict, fields
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -48,20 +47,30 @@ def config_int(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def config_float(value, name: str) -> float:
+    """A config field that measures: a JSON number.  A bool or a string
+    raises ConfigError rather than being read as a number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def from_json(cls, d: dict):
-    """The frozen dataclass cls from its JSON object d: sequences become
-    tuples, everything else floats, and a field whose key is absent takes
-    its default (KeyError if it has none).  A key that is not a field
-    raises TypeError."""
+    """The frozen dataclass cls from its JSON object d: a list becomes a
+    tuple of floats, anything else a float (config_float, entry by entry),
+    and a field whose key is absent takes its default (KeyError if it has
+    none).  A key that is not a field raises TypeError."""
     # a non-object d (a list, a string) must not yield the defaults
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object, got {d!r}")
     if unknown := d.keys() - {f.name for f in fields(cls)}:
         raise TypeError(f"unknown keys {sorted(unknown)}")
+    given = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
     return cls(**{
-        f.name: tuple(d[f.name]) if np.ndim(d[f.name]) else float(d[f.name])
-        for f in fields(cls)
-        if f.name in d or f.default is MISSING
+        name: tuple(config_float(v, f"{name} entry") for v in value)
+        if isinstance(value, list)
+        else config_float(value, name)
+        for name, value in given.items()
     })
 
 

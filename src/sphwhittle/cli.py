@@ -14,7 +14,9 @@ import math
 import sys
 from pathlib import Path
 
-from ._files import check_keys, config_int, reading_config, to_json, write_csv, write_json
+from ._files import (
+    check_keys, config_float, config_int, reading_config, to_json, write_csv, write_json,
+)
 from .asymptotics import k_factor, u_limit, z_fullband, z_limit_fullband, z_narrowband
 from .errors import NumericalError, ConfigError, SphwhittleError
 from .montecarlo import (
@@ -175,9 +177,11 @@ def _cmd_oracle(config: dict, out: Path) -> None:
             l_values = [config_int(v, "L_values entry") for v in l_values]
         for l_max in l_values:
             check_l_max(l_max)
-        s_full = [float(v) for v in config.get("s_values", _ORACLE_S_FULL)]
-        s_narrow = [float(v) for v in config.get("narrow_s_values", _ORACLE_S_NARROW)]
-        c_g = float(config.get("c_g", 1.0))
+        s_full = config.get("s_values", _ORACLE_S_FULL)
+        s_full = [config_float(v, "s_values entry") for v in s_full]
+        s_narrow = config.get("narrow_s_values", _ORACLE_S_NARROW)
+        s_narrow = [config_float(v, "narrow_s_values entry") for v in s_narrow]
+        c_g = config_float(config.get("c_g", 1.0), "c_g")
         for l_max in l_values:
             # full-band rows carry g=1.0: the band is the whole range
             for s in s_full:

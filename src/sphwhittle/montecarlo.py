@@ -39,7 +39,8 @@ from statistics import NormalDist
 import numpy as np
 
 from ._files import (
-    check_keys, config_int, from_json, reading_config, to_json, write_csv, write_json,
+    check_keys, config_float, config_int, from_json, reading_config, to_json, write_csv,
+    write_json,
 )
 from .errors import (
     AllReplicationsFailed,
@@ -464,7 +465,7 @@ def band_from_dict(d: dict, l_max: int) -> tuple[Band, dict]:
                 raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
             return Band(l1, l_max), {"type": "narrow", "L1": l1}
         case {"type": "narrow", "c_g": c_g, **other} if not other:
-            c_g = float(c_g)
+            c_g = config_float(c_g, "narrow band c_g")
             return narrow_band(l_max, c_g), {"type": "narrow", "c_g": c_g}
         case {"type": "narrow"}:
             raise ConfigError(f"narrow band needs one of 'L1' and 'c_g', and no other key: {d!r}")

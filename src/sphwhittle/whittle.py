@@ -66,8 +66,6 @@ __all__ = [
     "full_band",
     "narrow_band",
     "objective",
-    "score",
-    "curvature",
     "estimate",
     "normalization_factor",
 ]
@@ -265,10 +263,6 @@ class _BandData:
         self.wc = np.ldexp(self.values, -exponent)
         self.wc *= self.arrays.w
 
-    def ghat(self, alpha: float) -> float:
-        """The scaled amplitude g_s at alpha."""
-        return float(np.einsum("i,i", self.wc, np.exp(alpha * self.log_s))) / self.w_sum
-
     def amplitude(self, alpha: float, g_s: float, log_step: float = 0.0) -> float:
         """Ghat(alpha) exp(log_step) from g_s, checked finite and > 0."""
         # formed in logs: the product g_s 2^e l_hi^alpha overflows only when
@@ -292,7 +286,8 @@ class _BandData:
         return g0 / self.w_sum, s, q, k3, k4
 
     def centered_moments(self, alpha: float) -> tuple[float, ...]:
-        """moments at alpha; raises if Ghat(alpha) <= 0."""
+        """moments at alpha, from one pass over the band: the only way the
+        package computes Ghat and its derivatives; raises if Ghat(alpha) <= 0."""
         # wc * exp(alpha (log l - log l_hi)), formed in one buffer
         tilt = np.multiply(self.log_s, alpha)
         np.exp(tilt, out=tilt)
@@ -330,21 +325,8 @@ def objective(
     """Concentrated objective R(alpha) = log Ghat(alpha) - alpha * wbar."""
     with _quiet():
         data = _BandData(spectrum.values, _band_or_full(spectrum, band))
-        return math.log(data.amplitude(alpha, data.ghat(alpha))) - alpha * data.wbar
-
-
-def score(spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None) -> float:
-    """Exact derivative of the objective, Ghat_1/Ghat - wbar."""
-    with _quiet():
-        return _BandData(spectrum.values, _band_or_full(spectrum, band)).centered_moments(alpha)[1]
-
-
-def curvature(
-    spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None
-) -> float:
-    """Second derivative of the objective, (Ghat_2 Ghat - Ghat_1^2) / Ghat^2."""
-    with _quiet():
-        return _BandData(spectrum.values, _band_or_full(spectrum, band)).centered_moments(alpha)[2]
+        g_s = data.centered_moments(alpha)[0]
+        return math.log(data.amplitude(alpha, g_s)) - alpha * data.wbar
 
 
 def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
@@ -505,8 +487,9 @@ class NormalizationScheme:
     fullband, narrowband and noise give V_band^(-1/2), so the normalized
     errors tend to N(0, 1); rate gives 1 / b_band per unit kappa, so their
     mean tends to kappa.  narrowband requires a band above l = 1 and noise a
-    noise model; noise also raises UnsupportedRegime from factor() when
-    alpha0 - gamma >= 1, where the estimator diverges.
+    noise model; normalization_factor computes the factor, and raises
+    UnsupportedRegime for noise when alpha0 - gamma >= 1, where the
+    estimator diverges.
     """
 
     tag: str
@@ -522,38 +505,37 @@ class NormalizationScheme:
         if self.tag == "noise" and self.noise is None:
             raise ValueError("noise scheme requires a noise model")
 
-    def factor(self) -> float:
-        l_lo, l_hi = self.band.l_lo, self.band.l_hi
-        arrays = _band_arrays(l_lo, l_hi)
-        # S = sum w_l c_l^2; ols_weights are w_l c_l
-        s = arrays.ols_den
-        if self.tag == "rate":
-            inverse_l = np.reciprocal(np.arange(l_lo, l_hi + 1, dtype=float))
-            return s / -np.einsum("i,i", arrays.ols_weights, inverse_l)
-        if self.tag == "noise":
-            u = asymptotic_params(self.model).alpha0 - self.noise.gamma
-            if u >= 1:
-                raise UnsupportedRegime(
-                    f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
-                )
-        weights = arrays.w
-        if self.noise is not None:
-            c = spectrum_values(self.model, l_hi)[l_lo - 1 :]
-            r = noise_values(self.noise, l_hi)[l_lo - 1 :] / c
-            weights = weights * (1.0 + r) ** 2
-        v_band = 2.0 * np.einsum("i,i", weights, arrays.basis[2]) / s / s
-        return v_band**-0.5
-
 
 def normalization_factor(scheme: NormalizationScheme) -> float:
     """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit, or
     for a mean of kappa under the rate scheme.
 
-    Raises NonFiniteValue when the factor is not a finite number > 0.
+    Raises UnsupportedRegime for the noise scheme when alpha0 - gamma >= 1,
+    and NonFiniteValue when the factor is not a finite number > 0.
     """
+    l_lo, l_hi = scheme.band.l_lo, scheme.band.l_hi
+    arrays = _band_arrays(l_lo, l_hi)
+    # S = sum w_l c_l^2; ols_weights are w_l c_l
+    s = arrays.ols_den
+    if scheme.tag == "noise":
+        u = asymptotic_params(scheme.model).alpha0 - scheme.noise.gamma
+        if u >= 1:
+            raise UnsupportedRegime(
+                f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
+            )
     # an overflowing (1 + r_l)^2 or a zero S gives inf or nan, reported below
     with np.errstate(all="ignore"):
-        factor = float(scheme.factor())
+        if scheme.tag == "rate":
+            inverse_l = np.reciprocal(np.arange(l_lo, l_hi + 1, dtype=float))
+            factor = float(s / -np.einsum("i,i", arrays.ols_weights, inverse_l))
+        else:
+            weights = arrays.w
+            if scheme.noise is not None:
+                c = spectrum_values(scheme.model, l_hi)[l_lo - 1 :]
+                r = noise_values(scheme.noise, l_hi)[l_lo - 1 :] / c
+                weights = weights * (1.0 + r) ** 2
+            v_band = 2.0 * np.einsum("i,i", weights, arrays.basis[2]) / s / s
+            factor = float(v_band**-0.5)
     if not (math.isfinite(factor) and factor > 0):
         raise NonFiniteValue(f"{scheme.tag} normalization factor is {factor}")
     return factor

@@ -22,8 +22,6 @@ from sphwhittle import (
     k_factor,
     run_experiment,
     sample_empirical,
-    score,
-    curvature,
     objective,
     spectrum_values,
     u_limit,
@@ -31,6 +29,17 @@ from sphwhittle import (
     z_narrowband,
 )
 from sphwhittle.cli import main
+from sphwhittle.whittle import _BandData
+
+
+def score(spectrum: EmpiricalSpectrum, alpha: float) -> float:
+    """R'(alpha) on the full band, from the estimator's one band pass."""
+    return _BandData(spectrum.values, full_band(spectrum.l_max)).centered_moments(alpha)[1]
+
+
+def curvature(spectrum: EmpiricalSpectrum, alpha: float) -> float:
+    """R''(alpha) on the full band, from the estimator's one band pass."""
+    return _BandData(spectrum.values, full_band(spectrum.l_max)).centered_moments(alpha)[2]
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> str:

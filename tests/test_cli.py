@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sphwhittle
 from sphwhittle import read_spectrum_csv
@@ -437,6 +437,36 @@ _NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
         pytest.param("oracle", {"L_values": [10, "x"]}, None, id="oracle-L_values-string"),
         pytest.param("oracle", {"c_g": "x"}, None, id="oracle-c_g-string"),
         pytest.param("oracle", {"L": 1}, None, id="oracle-L-1"),
+        # a float field, or an entry of a list of floats, is a JSON number:
+        # a bool or a string is not read as one
+        pytest.param(
+            "mc",
+            mc_config(model={"type": "power_law", "g0": True, "alpha0": 3.0}),
+            None,
+            id="mc-g0-true",
+        ),
+        pytest.param(
+            "mc",
+            mc_config(model={"type": "power_law", "g0": 2.0, "alpha0": "3"}),
+            None,
+            id="mc-alpha0-string",
+        ),
+        pytest.param(
+            "mc", mc_config(band={"type": "narrow", "c_g": True}), None, id="mc-c_g-true"
+        ),
+        pytest.param(
+            "mc",
+            mc_config(model={"type": "rational", "p": [1, 1], "q": [1, "0"], "alpha0": 3.0}),
+            None,
+            id="mc-rational-q-string",
+        ),
+        pytest.param(
+            "oracle", {"L": 10, "s_values": ["1", True]}, None, id="oracle-s_values-types"
+        ),
+        pytest.param("oracle", {"L": 10, "c_g": True}, None, id="oracle-c_g-true"),
+        pytest.param(
+            "estimate", {"box": {"tol": "1e-6"}}, _VALID_CSV, id="estimate-box-tol-string"
+        ),
         pytest.param("estimate", {}, "l,c_hat\n1,abc\n", id="estimate-csv-string"),
         pytest.param("estimate", {"L": "x"}, _VALID_CSV, id="estimate-L-string"),
         pytest.param("estimate", {"band": "full"}, _VALID_CSV, id="estimate-band-string"),
@@ -623,6 +653,22 @@ def _misspelt(draw, valid):
     return config
 
 
+@st.composite
+def _mistyped(draw, valid):
+    # one number of the config, at any depth, turned into true or its string
+    # form; every number in a valid config is read
+    config = copy.deepcopy(draw(valid))
+    slots = [
+        (parent, key)
+        for parent, key, _ in _slots(config, None)
+        if isinstance(parent[key], (int, float)) and not isinstance(parent[key], bool)
+    ]
+    assume(slots)
+    parent, key = draw(st.sampled_from(slots))
+    parent[key] = draw(st.sampled_from([True, str(parent[key])]))
+    return config
+
+
 def _run(
     subcommand: str, config: dict, csv_text: str | None = None, rejected: bool = False
 ) -> None:
@@ -667,6 +713,16 @@ def test_simulate_any_config(config):
 @_FUZZ
 @given(_misspelt(_SIM))
 def test_simulate_misspelt_key_exits_one(config):
+    _run("simulate", config, rejected=True)
+
+
+# an exact spectrum ignores its seed, so it is drawn without one
+_SIM_READ = _SIM.map(lambda c: {k: v for k, v in c.items() if k != "seed" or not c["exact"]})
+
+
+@_FUZZ
+@given(_mistyped(_SIM_READ))
+def test_simulate_mistyped_number_exits_one(config):
     _run("simulate", config, rejected=True)
 
 
@@ -729,8 +785,18 @@ def test_mc_misspelt_key_exits_one(config):
     _run("mc", config, rejected=True)
 
 
+@_FUZZ
+@given(_mistyped(_MC))
+def test_mc_mistyped_number_exits_one(config):
+    _run("mc", config, rejected=True)
+
+
 def _csv(rows) -> str:
     return "l,c_hat\n" + "".join(f"{a},{b}\n" for a, b in rows)
+
+
+# a valid 50-row spectrum
+_SPECTRUM_50 = _csv((l, 2.0 * l**-3.0) for l in range(1, 51))
 
 
 _CSV = st.one_of(
@@ -762,9 +828,13 @@ def test_estimate_any_config(csv_text, config):
 @_FUZZ
 @given(_misspelt(_ESTIMATE))
 def test_estimate_misspelt_key_exits_one(config):
-    # on a valid 50-row spectrum
-    rows = ((l, 2.0 * l**-3.0) for l in range(1, 51))
-    _run("estimate", config, _csv(rows), rejected=True)
+    _run("estimate", config, _SPECTRUM_50, rejected=True)
+
+
+@_FUZZ
+@given(_mistyped(_ESTIMATE))
+def test_estimate_mistyped_number_exits_one(config):
+    _run("estimate", config, _SPECTRUM_50, rejected=True)
 
 
 _ORACLE = st.tuples(
@@ -797,4 +867,10 @@ def test_oracle_any_config(config):
 @_FUZZ
 @given(_misspelt(_ORACLE))
 def test_oracle_misspelt_key_exits_one(config):
+    _run("oracle", config, rejected=True)
+
+
+@_FUZZ
+@given(_mistyped(_ORACLE))
+def test_oracle_mistyped_number_exits_one(config):
     _run("oracle", config, rejected=True)

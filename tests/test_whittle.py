@@ -19,7 +19,6 @@ from sphwhittle import (
     SearchBox,
     SeedSpec,
     UnsupportedRegime,
-    curvature,
     estimate,
     experiment_from_dict,
     full_band,
@@ -28,10 +27,10 @@ from sphwhittle import (
     objective,
     sample_empirical,
     sample_observed_debiased,
-    score,
     spectrum_values,
 )
 from sphwhittle.errors import BandTooNarrow
+from sphwhittle.whittle import _BandData
 
 MODEL = ExactPowerLaw(2.0, 3.0)
 
@@ -50,6 +49,16 @@ def g_hat_k(
     tilt = w * values * np.exp(alpha * np.log(l))
     moment = tilt.sum() if k == 0 else np.dot(tilt, np.log(l) ** k)
     return float(moment) / float(w.sum())
+
+
+def score(spectrum: EmpiricalSpectrum, alpha: float) -> float:
+    """R'(alpha) on the full band, from the estimator's one band pass."""
+    return _BandData(spectrum.values, full_band(spectrum.l_max)).centered_moments(alpha)[1]
+
+
+def curvature(spectrum: EmpiricalSpectrum, alpha: float) -> float:
+    """R''(alpha) on the full band, from the estimator's one band pass."""
+    return _BandData(spectrum.values, full_band(spectrum.l_max)).centered_moments(alpha)[2]
 
 
 def joint_objective(
