@@ -9,32 +9,20 @@ Exit codes: 0 success, 1 config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 from ._files import (
-    check_keys, config_float, config_int, reading_config, to_json, write_csv, write_json,
+    check_keys, config_float, config_int, experiment_from_dict, load_config, model_from_dict,
+    noise_from_dict, read_spectrum_csv, reading_config, search_from_dict, to_json, write_csv,
+    write_json, write_report_files, write_spectrum_csv,
 )
 from .asymptotics import k_factor, u_limit, z_fullband, z_limit_fullband, z_narrowband
 from .errors import NumericalError, ConfigError, SphwhittleError
-from .montecarlo import (
-    band_from_dict,
-    box_from_dict,
-    experiment_from_dict,
-    run_experiment,
-    write_report_files,
-)
-from .sampling import (
-    EmpiricalSpectrum,
-    SeedSpec,
-    read_spectrum_csv,
-    sample_empirical,
-    sample_observed_debiased,
-    write_spectrum_csv,
-)
-from .spectrum import check_l_max, model_from_dict, noise_from_dict, spectrum_values
+from .montecarlo import run_experiment
+from .sampling import EmpiricalSpectrum, SeedSpec, sample_empirical, sample_observed_debiased
+from .spectrum import check_l_max, spectrum_values
 from .whittle import estimate
 
 __all__ = ["main"]
@@ -83,19 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return raw
-
-
 def _out_dir(path: str) -> Path:
     out = Path(path)
     try:
@@ -110,7 +85,7 @@ def _cmd_simulate(config: dict, out: Path) -> None:
     check_keys(config, {"model", "noise", "L", "exact", "seed"}, "simulate config")
     with reading_config("simulate config"):
         model = model_from_dict(config["model"])
-        noise = noise_from_dict(config["noise"]) if config.get("noise") is not None else None
+        noise = noise_from_dict(config.get("noise"))
         l_max = config_int(config["L"], "L")
         check_l_max(l_max)
         exact = config.get("exact", False)
@@ -139,8 +114,7 @@ def _cmd_estimate(config: dict, out: Path) -> None:
     with reading_config("estimate config"):
         if "L" in config and config_int(config["L"], "L") != l_max:
             raise ConfigError(f"config L={config['L']} but {path} has L={l_max}")
-        band, band_resolved = band_from_dict(config.get("band", {"type": "full"}), l_max)
-        box = box_from_dict(config.get("box", {}))
+        band, band_resolved, box = search_from_dict(config, l_max)
     result = estimate(spectrum, band, box)
     write_json(
         out / "estimate.json",
@@ -208,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
-        config = _load_config(args.config)
+        config = load_config(args.config)
         if getattr(args, "seed", None) is not None:
             config["seed"] = args.seed
         out = _out_dir(args.out)

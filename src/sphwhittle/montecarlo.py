@@ -33,34 +33,19 @@ import sys
 import traceback
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from ._files import (
-    check_keys, config_float, config_int, from_json, reading_config, to_json, write_csv,
-    write_json,
-)
 from .errors import (
     AllReplicationsFailed,
-    ConfigError,
     DegenerateSample,
     EmptySample,
     NumericalError,
     SampleSizeOutOfRange,
 )
 from .sampling import SeedSpec, _design, _draw, _stream_generators
-from .spectrum import (
-    NoiseModel,
-    SpectrumModel,
-    asymptotic_params,
-    check_l_max,
-    model_from_dict,
-    model_to_dict,
-    noise_from_dict,
-    noise_to_dict,
-)
+from .spectrum import NoiseModel, SpectrumModel, check_l_max
 from .whittle import (
     Band,
     NormalizationScheme,
@@ -68,8 +53,6 @@ from .whittle import (
     _estimate,
     _on_edge,
     _quiet,
-    full_band,
-    narrow_band,
     normalization_factor,
 )
 
@@ -83,12 +66,6 @@ __all__ = [
     "quantile_frequencies",
     "shapiro_wilk",
     "summarize",
-    "experiment_from_dict",
-    "experiment_to_dict",
-    "band_from_dict",
-    "box_from_dict",
-    "report_to_dict",
-    "write_report_files",
     "DEFAULT_CUTPOINTS",
 ]
 
@@ -96,8 +73,6 @@ __all__ = [
 DEFAULT_CUTPOINTS = (-1.96, -1.0, -0.68, 0.0, 0.68, 1.0, 1.96)
 
 _SW_MAX_N = 5000
-
-_EXPERIMENT_KEYS = {"model", "noise", "L", "band", "box", "scheme", "replications", "seed"}
 
 # Forked workers run when each gets at least this many band terms
 # (replications x l_max).  A run_experiment sweep in a numpy-only process, on
@@ -127,6 +102,9 @@ class ExperimentConfig:
         if self.band.l_hi > self.l_max:
             raise ValueError("band exceeds l_max")
         SeedSpec(self.master_seed)
+        # the report needs alpha0: a config it cannot be built for fails
+        # here, once every field is checked, not after every replication
+        self.scheme.alpha0()
 
     @property
     def model(self) -> SpectrumModel:
@@ -338,7 +316,7 @@ def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
     statuses = tuple(statuses)
     if all_alpha.shape != (cfg.replications,) or len(statuses) != cfg.replications:
         raise ValueError(f"need {cfg.replications} alpha_hats and statuses, one per replication")
-    alpha0 = asymptotic_params(cfg.model).alpha0
+    alpha0 = cfg.scheme.alpha0()
     factor = normalization_factor(cfg.scheme)
     ok = np.array([s == "ok" for s in statuses])
     if not ok.any():
@@ -452,101 +430,3 @@ def _report(run, indices: range, fd: int):
         status = 0
     finally:
         os._exit(status)
-
-
-def band_from_dict(d: dict, l_max: int) -> tuple[Band, dict]:
-    """Band rule -> (band, resolved form)."""
-    match d:
-        case {"type": "full", **other} if not other:
-            return full_band(l_max), {"type": "full"}
-        case {"type": "narrow", "L1": l1, **other} if not other:
-            l1 = config_int(l1, "narrow band L1")
-            if not 1 <= l1 <= l_max:
-                raise ConfigError(f"narrow band L1={l1} outside [1, {l_max}]")
-            return Band(l1, l_max), {"type": "narrow", "L1": l1}
-        case {"type": "narrow", "c_g": c_g, **other} if not other:
-            c_g = config_float(c_g, "narrow band c_g")
-            return narrow_band(l_max, c_g), {"type": "narrow", "c_g": c_g}
-        case {"type": "narrow"}:
-            raise ConfigError(f"narrow band needs one of 'L1' and 'c_g', and no other key: {d!r}")
-    raise ConfigError(f"unknown band rule {d!r}")
-
-
-def box_from_dict(d: dict) -> SearchBox:
-    """Search-box rule with defaults expanded."""
-    with reading_config("search box"):
-        return from_json(SearchBox, d)
-
-
-def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
-    """Build an ExperimentConfig from its JSON form.
-
-    Returns the config plus the fully resolved dict (defaults expanded) that
-    reports embed so runs are self-describing.
-    """
-    with reading_config("experiment config"):
-        check_keys(d, _EXPERIMENT_KEYS, "experiment config")
-        model = model_from_dict(d["model"])
-        noise = noise_from_dict(d["noise"]) if d.get("noise") is not None else None
-        l_max = config_int(d["L"], "L")
-        band, band_resolved = band_from_dict(d.get("band", {"type": "full"}), l_max)
-        box = box_from_dict(d.get("box", {}))
-        # a "corrected" key, which older configs carry, has no effect
-        scheme = d.get("scheme", {"type": "fullband"})
-        check_keys(scheme, {"type", "corrected"}, "scheme")
-        cfg = ExperimentConfig(
-            scheme=NormalizationScheme(scheme.get("type"), band, model, noise),
-            l_max=l_max,
-            box=box,
-            replications=config_int(d["replications"], "replications"),
-            master_seed=config_int(d["seed"], "seed"),
-        )
-    return cfg, experiment_to_dict(cfg, band_resolved)
-
-
-def experiment_to_dict(cfg: ExperimentConfig, band_resolved: dict) -> dict:
-    """JSON form of a config with all defaults expanded; band_resolved is
-    band_from_dict's resolved band rule."""
-    return {
-        "model": model_to_dict(cfg.model),
-        "noise": noise_to_dict(cfg.noise) if cfg.noise else None,
-        "L": cfg.l_max,
-        "band": band_resolved,
-        "box": to_json(cfg.box),
-        "scheme": {"type": cfg.scheme.tag},
-        "replications": cfg.replications,
-        "seed": cfg.master_seed,
-    }
-
-
-def report_to_dict(report: MonteCarloReport, resolved_config: dict) -> dict:
-    """JSON form of a report with the resolved config embedded: the
-    statistics only, as samples.csv holds every replication."""
-    return {
-        "config": resolved_config,
-        "replications": report.replications,
-        "boundary_hits": report.boundary_hits,
-        "mean": report.mean,
-        "variance": report.variance,
-        "bias": report.bias,
-        "variance_raw": report.variance_raw,
-        "mse": report.mse,
-        "sw_w": report.sw_w,
-        "sw_p": report.sw_p,
-        "quantile_freqs": [to_json(row) for row in report.quantile_freqs],
-    }
-
-
-def write_report_files(
-    report: MonteCarloReport, resolved_config: dict, out_dir: str | Path
-) -> tuple[Path, Path]:
-    """Write report.json and samples.csv; returns their paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.json"
-    write_json(report_path, report_to_dict(report, resolved_config))
-    samples_path = out / "samples.csv"
-    rows = zip(report.all_alpha_hats, report.all_normalized, report.statuses)
-    header = ["rep", "alpha_hat", "normalized", "status"]
-    write_csv(samples_path, header, ((i, *row) for i, row in enumerate(rows)))
-    return report_path, samples_path

@@ -15,16 +15,13 @@ generators bit-identical to generator()'s.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ._files import write_csv
 from .errors import NonFiniteValue, NonPositiveValue
 from .spectrum import NoiseModel, SpectrumModel, noise_values, spectrum_values
 
@@ -34,8 +31,6 @@ __all__ = [
     "generator",
     "sample_empirical",
     "sample_observed_debiased",
-    "write_spectrum_csv",
-    "read_spectrum_csv",
 ]
 
 
@@ -246,30 +241,3 @@ def sample_observed_debiased(
     c, c_n = _design(model, noise, l_max)
     with np.errstate(over="ignore"):
         return _own(_draw(c, c_n, generator(seed)), debiased=True)
-
-
-def write_spectrum_csv(spectrum: EmpiricalSpectrum, path: str | Path) -> None:
-    """Write `l,c_hat` rows with shortest round-trip float formatting."""
-    write_csv(path, ["l", "c_hat"], enumerate(spectrum.values, start=1))
-
-
-def read_spectrum_csv(path: str | Path) -> EmpiricalSpectrum:
-    """Read a `l,c_hat` file; rows must cover l = 1..L in order.
-
-    Any value <= 0 marks the spectrum as debiased (a non-debiased spectrum
-    is positive by construction).
-    """
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["l", "c_hat"]:
-            raise ValueError(f"expected header 'l,c_hat' in {path}")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise ValueError(f"row {i}: expected 2 fields, got {len(row)}")
-            if int(row[0]) != i:
-                raise ValueError(f"row {i}: multipoles must run 1..L in order")
-            values.append(float(row[1]))
-    arr = np.array(values, dtype=float)
-    return EmpiricalSpectrum(values=arr, debiased=bool((arr <= 0).any()))

@@ -9,19 +9,17 @@ because sampling and estimation stay valid there and simulation designs use
 alpha0 = 2.
 
 Each model class carries its formula, values_at(l) on an array of float
-multipoles, its large-l parameters and its JSON tag; the module functions
-call them.
+multipoles, and its large-l parameters; the module functions call them.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
-from ._files import from_json, reading_config, to_json
-from .errors import ConfigError, OutOfRange, Unsupported
+from .errors import OutOfRange, Unsupported
 
 __all__ = [
     "ExactPowerLaw",
@@ -34,10 +32,6 @@ __all__ = [
     "spectrum_values",
     "noise_values",
     "asymptotic_params",
-    "model_from_dict",
-    "model_to_dict",
-    "noise_from_dict",
-    "noise_to_dict",
 ]
 
 # A run holds several float arrays of L entries (0.8 GB each at this bound);
@@ -71,7 +65,6 @@ class AsymptoticParams:
 class ExactPowerLaw:
     """C_l = g0 * l**(-alpha0)."""
 
-    tag: ClassVar[str] = "power_law"
     g0: float
     alpha0: float
 
@@ -92,7 +85,6 @@ class ExactPowerLaw:
 class KappaPerturbed:
     """C_l = g0 * (1 + kappa/l) * l**(-alpha0); kappa > -1 keeps C_l > 0."""
 
-    tag: ClassVar[str] = "kappa"
     g0: float
     alpha0: float
     kappa: float
@@ -121,7 +113,6 @@ class Rational:
     and kappa = p[1]/p[0] - q[1]/q[0].
     """
 
-    tag: ClassVar[str] = "rational"
     p: tuple[float, ...]
     q: tuple[float, ...]
     alpha0: float
@@ -160,7 +151,6 @@ class Rational:
 class Tabulated:
     """Explicit positive values for l = 1..len(values); no tail model."""
 
-    tag: ClassVar[str] = "table"
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -184,8 +174,6 @@ class Tabulated:
 
 
 SpectrumModel = Union[ExactPowerLaw, KappaPerturbed, Rational, Tabulated]
-
-_MODELS = {cls.tag: cls for cls in (ExactPowerLaw, KappaPerturbed, Rational, Tabulated)}
 
 
 @dataclass(frozen=True)
@@ -262,28 +250,3 @@ def asymptotic_params(model: SpectrumModel) -> AsymptoticParams:
     Tabulated models carry no tail model and raise Unsupported.
     """
     return model.asymptotic_params()
-
-
-def model_from_dict(d: dict) -> SpectrumModel:
-    """Build a spectrum model from its JSON form (see README for the schema)."""
-    with reading_config("model config"):
-        cls = _MODELS.get(d["type"])
-        if cls is None:
-            raise ConfigError(f"unknown model type {d['type']!r}")
-        return from_json(cls, {k: v for k, v in d.items() if k != "type"})
-
-
-def model_to_dict(model: SpectrumModel) -> dict:
-    """Inverse of model_from_dict."""
-    return {"type": model.tag, **to_json(model)}
-
-
-def noise_from_dict(d: dict) -> NoiseModel:
-    """Build a noise model from its JSON form."""
-    with reading_config("noise config"):
-        return from_json(NoiseModel, d)
-
-
-def noise_to_dict(noise: NoiseModel) -> dict:
-    """Inverse of noise_from_dict."""
-    return to_json(noise)

@@ -96,11 +96,13 @@ class Band:
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Compact search interval [alpha_min, alpha_max] with tolerance on alpha.
+    """Compact search interval [alpha_min, alpha_max].
 
     alpha_min > 2 matches the theory's parameter space; values in (0, 2] are
     accepted so designs at the regularity threshold alpha0 = 2 stay
-    searchable.
+    searchable.  tol sets only the width of the boundary-hit flag: an
+    estimate within tol of an edge is a boundary hit (_on_edge); the
+    minimizer's stopping rule does not read it.
     """
 
     alpha_min: float = 2.01
@@ -487,9 +489,8 @@ class NormalizationScheme:
     fullband, narrowband and noise give V_band^(-1/2), so the normalized
     errors tend to N(0, 1); rate gives 1 / b_band per unit kappa, so their
     mean tends to kappa.  narrowband requires a band above l = 1 and noise a
-    noise model; normalization_factor computes the factor, and raises
-    UnsupportedRegime for noise when alpha0 - gamma >= 1, where the
-    estimator diverges.
+    noise model; normalization_factor computes the factor, and alpha0()
+    the value the errors are taken from.
     """
 
     tag: str
@@ -505,6 +506,17 @@ class NormalizationScheme:
         if self.tag == "noise" and self.noise is None:
             raise ValueError("noise scheme requires a noise model")
 
+    def alpha0(self) -> float:
+        """The model's alpha0.  Raises Unsupported for a model with none (a
+        table), and UnsupportedRegime for noise when alpha0 - gamma >= 1,
+        where the estimator diverges."""
+        alpha0 = asymptotic_params(self.model).alpha0
+        if self.tag == "noise" and (u := alpha0 - self.noise.gamma) >= 1:
+            raise UnsupportedRegime(
+                f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
+            )
+        return alpha0
+
 
 def normalization_factor(scheme: NormalizationScheme) -> float:
     """The scalar multiplying (alpha_hat - alpha0) for a N(0,1) limit, or
@@ -518,11 +530,7 @@ def normalization_factor(scheme: NormalizationScheme) -> float:
     # S = sum w_l c_l^2; ols_weights are w_l c_l
     s = arrays.ols_den
     if scheme.tag == "noise":
-        u = asymptotic_params(scheme.model).alpha0 - scheme.noise.gamma
-        if u >= 1:
-            raise UnsupportedRegime(
-                f"alpha0 - gamma = {u} >= 1: estimator diverges, no normalization"
-            )
+        scheme.alpha0()  # UnsupportedRegime when alpha0 - gamma >= 1
     # an overflowing (1 + r_l)^2 or a zero S gives inf or nan, reported below
     with np.errstate(all="ignore"):
         if scheme.tag == "rate":

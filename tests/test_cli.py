@@ -258,6 +258,10 @@ class TestMc:
         )
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
 
+    def test_divergent_noise_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "mc.json", _DIVERGENT)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
+
 
 # Runs in a fresh interpreter: each argv of the JSON list in sys.argv[1]
 # through cli.main, with every import of scipy refused.
@@ -427,6 +431,7 @@ _VALID_CSV = "l,c_hat\n1,2.0\n2,0.25\n3,0.08\n"
 _SIMULATE = {"model": {"type": "power_law", "g0": 2.0, "alpha0": 3.0}, "L": 20, "seed": 1}
 
 # only null (or no key) means "no noise"; any other value is a noise config
+_DIVERGENT = mc_config(noise={"g_n": 1.0, "gamma": 2.0}, scheme={"type": "noise"})
 _NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
 
 
@@ -530,6 +535,22 @@ _NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
             mc_config(model=_LATE_NEGATIVE, L=5500, replications=2),
             None,
             id="mc-rational-past-horizon",
+        ),
+        # a noise scheme where the estimator diverges (exit 2 when valid) is
+        # a config error while another field is bad
+        *(
+            pytest.param("mc", dict(_DIVERGENT, **bad), None, id=f"mc-divergent-{name}")
+            for name, bad in (
+                ("replications-ten", {"replications": "ten"}),
+                ("replications-one", {"replications": 1}),
+                ("seed-negative", {"seed": -1}),
+            )
+        ),
+        pytest.param(
+            "mc",
+            {k: v for k, v in _DIVERGENT.items() if k != "seed"},
+            None,
+            id="mc-divergent-no-seed",
         ),
     ],
 )

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from sphwhittle import ConfigError, NonPositiveAmplitude, SearchBox
-from sphwhittle._files import from_json, reading_config, write_csv
+from sphwhittle._files import from_json, reading_config, write_csv, write_json
 
 
 class TestReadingConfig:
@@ -35,6 +37,13 @@ def test_write_csv_formats_floats_only(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c", "d"], [(np.float64(0.1), 3, "ok", 2.0)])
     assert path.read_bytes() == b"a,b,c,d\n0.1,3,ok,2.0\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_json_refuses_non_finite(tmp_path, value):
+    # RFC 8259 JSON has no NaN or Infinity
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "t.json", {"x": value})
 
 
 def test_from_json_defaults():

@@ -31,6 +31,9 @@ from sphwhittle import (
     SampleSizeOutOfRange,
     SearchBox,
     SeedSpec,
+    Tabulated,
+    Unsupported,
+    UnsupportedRegime,
     assemble,
     estimate,
     experiment_from_dict,
@@ -97,6 +100,32 @@ class TestExperimentConfig:
             ExperimentConfig(
                 scheme=cfg.scheme, l_max=300, box=cfg.box, replications=10, master_seed=2**64
             )
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"model": {"type": "table", "values": [1.0] * 300}}, Unsupported),
+            ({"noise": {"g_n": 1.0, "gamma": 2.0}, "scheme": {"type": "noise"}}, UnsupportedRegime),
+        ],
+        ids=["table", "divergent_noise"],
+    )
+    def test_scheme_faults_raise_before_replicating(self, monkeypatch, overrides, error):
+        # a scheme with no alpha0, or in the regime where the estimator
+        # diverges, raises when the config is built, before the first draw
+        def no_draw(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "_draw", no_draw)
+        with pytest.raises(error):
+            run_experiment(experiment_from_dict(base_config(**overrides))[0])
+
+    def test_table_scheme_has_a_factor(self):
+        # a model with no alpha0 fails only where alpha0 is read: its
+        # scheme builds and has a factor, as summarize takes alpha0 itself
+        table = NormalizationScheme("fullband", full_band(300), Tabulated((1.0,) * 300))
+        assert normalization_factor(table) > 0
+        with pytest.raises(Unsupported):
+            table.alpha0()
 
     def test_noise_scheme_requires_noise_model(self):
         with pytest.raises(ConfigError):
@@ -626,3 +655,15 @@ class TestReportFiles:
         assert lines[0] == "rep,alpha_hat,normalized,status"
         assert len(lines) == 21
         assert lines[1].split(",")[3] in {"ok", "boundary", "error"}
+
+    def test_report_json_is_standard_json(self, tmp_path):
+        # two replications leave Shapiro-Wilk undefined; RFC 8259 JSON has no
+        # NaN, so its statistics are null
+        cfg, resolved = experiment_from_dict(base_config(replications=2))
+        report_path, _ = write_report_files(run_experiment(cfg), resolved, tmp_path)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(report_path.read_text(), parse_constant=reject)
+        assert payload["sw_w"] is None and payload["sw_p"] is None

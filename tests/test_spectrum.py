@@ -18,10 +18,10 @@ from sphwhittle import (
     model_from_dict,
     model_to_dict,
     noise_from_dict,
-    noise_to_dict,
     noise_values,
     spectrum_values,
 )
+from sphwhittle._files import to_json
 from sphwhittle.errors import ConfigError
 
 
@@ -201,8 +201,8 @@ class TestDictRoundTrip:
 
     def test_noise_round_trip(self):
         n = NoiseModel(1.0, 2.5)
-        assert noise_from_dict(noise_to_dict(n)) == n
-        assert json.dumps(noise_to_dict(n)) == json.dumps({"g_n": 1.0, "gamma": 2.5})
+        assert noise_from_dict(to_json(n)) == n
+        assert json.dumps(to_json(n)) == json.dumps({"g_n": 1.0, "gamma": 2.5})
 
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigError):
