@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .montecarlo import ExperimentConfig, MonteCarloReport
 from .sampling import EmpiricalSpectrum
 from .spectrum import ExactPowerLaw, KappaPerturbed, NoiseModel, Rational, SpectrumModel, Tabulated
@@ -57,9 +57,11 @@ _REPORT_STATISTICS = ("mean", "variance", "bias", "variance_raw", "mse", "sw_w",
 
 @contextlib.contextmanager
 def reading_config(what: str):
-    """Map the errors a malformed config raises while it is read to ConfigError."""
+    """Map a malformed config's errors to ConfigError; a package error passes as it is."""
     try:
         yield
+    except NumericalError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{what} missing key {exc}") from exc
     except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
@@ -194,6 +196,8 @@ def read_spectrum_csv(path: str | Path) -> EmpiricalSpectrum:
             if int(row[0]) != i:
                 raise ValueError(f"row {i}: multipoles must run 1..L in order")
             values.append(float(row[1]))
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"row {i}: c_hat must be finite, got {row[1]!r}")
     arr = np.array(values, dtype=float)
     return EmpiricalSpectrum(values=arr, debiased=bool((arr <= 0).any()))
 

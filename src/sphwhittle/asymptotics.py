@@ -59,7 +59,12 @@ def z_limit_fullband(s: float) -> float:
 
 
 def z_narrowband(l_max: int, g: float, s: float) -> float:
-    """Z over the band l = ceil(1 + L(1-g)) .. L for fraction g in (0, 1)."""
+    """Z over the band l = ceil(1 + L(1-g)) .. L for fraction g in (0, 1).
+
+    With t = 1 - l/L in [0, g], A0 ~ 2 L^(2+s) g (1 - (1+s) g/2), and log l
+    = log L - t - t^2/2 - ... has weighted variance (g^2/12)(1 + g) + O(g^4),
+    as Cov(t, t^2) = g^3/12 and the tilt l^s adds no g^3 to Var(t).  So
+    Z = A0^2 Var(log l) = (L^(4+2s) g^4 / 3)(1 - s g + O(g^2)), for any s."""
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
     if not 0 < g < 1:

@@ -8,8 +8,8 @@ seeded in blocks, bit-identical to sampling.generator for each SeedSpec.
 
 assemble turns the estimates and their statuses into the report, and is
 the one place a MonteCarloReport is built: it normalizes the errors with
-the configured scheme's factor, computed once.  Replications whose draw or
-estimate raises a NumericalError (status "error") or that stop on the
+the factor the config computed.  Replications whose draw or estimate
+raises a NumericalError (status "error") or that stop on the
 search boundary are counted in boundary_hits and excluded from moment
 statistics (a diverging design would otherwise destroy every statistic);
 all replications appear in the per-replication table with a status column.
@@ -31,7 +31,7 @@ import pickle
 import signal
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
 
@@ -87,13 +87,16 @@ _FORK_MIN_WORK = 200_000
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment: the scheme (which holds the model, noise
-    and band), box, and seeding."""
+    and band), box, seeding, and the report's alpha0 and factor, computed
+    last, so a config the report cannot use fails before replicating."""
 
     scheme: NormalizationScheme
     l_max: int
     box: SearchBox
     replications: int
     master_seed: int
+    alpha0: float = field(init=False)
+    factor: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_l_max(self.l_max)
@@ -102,9 +105,8 @@ class ExperimentConfig:
         if self.band.l_hi > self.l_max:
             raise ValueError("band exceeds l_max")
         SeedSpec(self.master_seed)
-        # the report needs alpha0: a config it cannot be built for fails
-        # here, once every field is checked, not after every replication
-        self.scheme.alpha0()
+        object.__setattr__(self, "alpha0", self.scheme.alpha0())
+        object.__setattr__(self, "factor", normalization_factor(self.scheme))
 
     @property
     def model(self) -> SpectrumModel:
@@ -274,14 +276,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     c, c_n = _design(cfg.model, cfg.noise, cfg.l_max)
 
     def replicate(indices: range) -> list[tuple[float, str]]:
-        # each replication is sample_* and estimate on the raw draw; an
-        # overflow in the draw or in Ghat ends as a typed error, so numpy's
-        # warnings are silenced once for the range
+        # each replication is sample_* and estimate on the raw draw, in the
+        # range's own buffers; an overflow in the draw or in Ghat ends as a
+        # typed error, so numpy's warnings are silenced once for the range
         outcomes = []
+        x, work = np.empty(cfg.l_max), np.empty((2, cfg.band.width))
         with _quiet():
             for rng in _stream_generators(cfg.master_seed, indices):
                 try:
-                    alpha = _estimate(_draw(c, c_n, rng), cfg.band, cfg.box)[0]
+                    alpha = _estimate(_draw(c, c_n, rng, x), cfg.band, cfg.box, work)[0]
                 except NumericalError:
                     outcomes.append((math.nan, "error"))
                     continue
@@ -307,7 +310,7 @@ def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
     """The report on cfg's replications from each one's alpha_hat (nan for
     an "error") and status ("ok", "boundary" or "error"), in order.
 
-    alpha0 and the scheme's factor are computed once; every moment and the
+    alpha0 and the scheme's factor are cfg's; every moment and the
     Shapiro-Wilk test (on the first 5000) cover the "ok" replications.
     Raises ValueError unless there are cfg.replications of each, and
     AllReplicationsFailed when none is "ok".
@@ -316,16 +319,14 @@ def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
     statuses = tuple(statuses)
     if all_alpha.shape != (cfg.replications,) or len(statuses) != cfg.replications:
         raise ValueError(f"need {cfg.replications} alpha_hats and statuses, one per replication")
-    alpha0 = cfg.scheme.alpha0()
-    factor = normalization_factor(cfg.scheme)
     ok = np.array([s == "ok" for s in statuses])
     if not ok.any():
         raise AllReplicationsFailed(
             f"0 of {cfg.replications} replications produced an interior estimate"
         )
 
-    errors = all_alpha - alpha0
-    all_normalized = factor * errors
+    errors = all_alpha - cfg.alpha0
+    all_normalized = cfg.factor * errors
     normalized = all_normalized[ok]
     bias, variance_raw, mse = _moments(errors[ok])
     mean, variance, _ = _moments(normalized)

@@ -48,8 +48,9 @@ class EmpiricalSpectrum:
     debiased: bool = False
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        object.__setattr__(self, "values", _checked(values, self.debiased))
+        values = _checked(np.array(self.values, dtype=float), self.debiased)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def l_max(self) -> int:
@@ -57,7 +58,7 @@ class EmpiricalSpectrum:
 
 
 def _checked(values: np.ndarray, debiased: bool) -> np.ndarray:
-    # EmpiricalSpectrum's checks; freezes and returns values
+    # EmpiricalSpectrum's checks; returns values
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a nonempty 1-D array")
     if not np.isfinite(values).all():
@@ -65,13 +66,12 @@ def _checked(values: np.ndarray, debiased: bool) -> np.ndarray:
     # min builds no temporary array (values are finite here)
     if not debiased and not values.min() > 0:
         raise NonPositiveValue("non-debiased spectrum values must be positive")
-    values.setflags(write=False)
     return values
 
 
 def _own(values: np.ndarray, debiased: bool) -> EmpiricalSpectrum:
-    # an EmpiricalSpectrum around a checked, frozen buffer that no caller
-    # sees, instead of a copy
+    # an EmpiricalSpectrum around a checked buffer no caller sees, frozen, not copied
+    values.setflags(write=False)
     spectrum = object.__new__(EmpiricalSpectrum)
     object.__setattr__(spectrum, "values", values)
     object.__setattr__(spectrum, "debiased", debiased)
@@ -191,10 +191,10 @@ def _stream_generators(master_seed: int, indices: range) -> Iterator[np.random.G
 
 @functools.lru_cache(maxsize=8)
 def _chisq_df(l_max: int) -> np.ndarray:
-    # degrees of freedom 2l+1 for l = 1..l_max, shared read-only
-    df = 2.0 * np.arange(1, l_max + 1, dtype=float) + 1.0
-    df.setflags(write=False)
-    return df
+    # half the degrees of freedom, l + 1/2 for l = 1..l_max, shared read-only
+    half_df = np.arange(1, l_max + 1, dtype=float) + 0.5
+    half_df.setflags(write=False)
+    return half_df
 
 
 def _design(model: SpectrumModel, noise: NoiseModel | None, l_max: int) -> tuple:
@@ -208,26 +208,28 @@ def _design(model: SpectrumModel, noise: NoiseModel | None, l_max: int) -> tuple
         return c + c_n, c_n
 
 
-def _draw(c: np.ndarray, c_n: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-    """c_l X_l / (2l+1) with X_l ~ chi2(2l+1), minus c_n when it is given (a
-    debiased draw, with c = C_T + C_N), formed in the draw's own buffer and
-    checked over every l as EmpiricalSpectrum checks its values.  A value that overflows is
-    inf, which the check reports as NonFiniteValue; the caller silences
-    numpy's overflow warning."""
-    df = _chisq_df(c.size)
-    x = rng.chisquare(df)
-    x /= df
-    x *= c
+def _draw(
+    c: np.ndarray, c_n: np.ndarray | None, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
+    """c_l X_l / (2l+1) with X_l ~ chi2(2l+1) (numpy's 2 Gamma(l + 1/2), so
+    Gamma(l + 1/2) / (l + 1/2) bit for bit), minus c_n when it is given (a
+    debiased draw, with c = C_T + C_N), formed in out and checked over every
+    l as EmpiricalSpectrum checks its values.  An overflow is inf, which the
+    check reports as NonFiniteValue; the caller silences numpy's warning."""
+    half_df = _chisq_df(c.size)
+    rng.standard_gamma(half_df, out=out)
+    out /= half_df
+    out *= c
     if c_n is not None:
-        x -= c_n
-    return _checked(x, debiased=c_n is not None)
+        out -= c_n
+    return _checked(out, debiased=c_n is not None)
 
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Draw C_hat_l = C_l * chi2(2l+1)/(2l+1) for l = 1..l_max."""
     c, _ = _design(model, None, l_max)
     with np.errstate(over="ignore"):
-        return _own(_draw(c, None, generator(seed)), debiased=False)
+        return _own(_draw(c, None, generator(seed), np.empty(l_max)), debiased=False)
 
 
 def sample_observed_debiased(
@@ -240,4 +242,4 @@ def sample_observed_debiased(
     """
     c, c_n = _design(model, noise, l_max)
     with np.errstate(over="ignore"):
-        return _own(_draw(c, c_n, generator(seed)), debiased=True)
+        return _own(_draw(c, c_n, generator(seed), np.empty(l_max)), debiased=True)

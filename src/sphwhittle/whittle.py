@@ -243,14 +243,11 @@ class _BandData:
     above max |Chat_l| (an exact division), and on the tilt shifted by
     l_hi^-alpha, so every term is below w_l in size.  A scaled amplitude
     g_s = Ghat(alpha) / (2^e l_hi^alpha) is scaled back only where Ghat
-    itself is wanted, so only a Ghat that is out of range overflows.
+    itself is wanted, so only a Ghat that is out of range overflows.  The
+    band fits the values, and the caller's (2, band width) work block takes wc and a scratch row.
     """
 
-    def __init__(self, values: np.ndarray, band: Band) -> None:
-        if band.l_hi > values.size:
-            raise ValueError(
-                f"band [{band.l_lo}, {band.l_hi}] exceeds spectrum l_max={values.size}"
-            )
+    def __init__(self, values: np.ndarray, band: Band, work: np.ndarray) -> None:
         self.band = band
         self.arrays = _band_arrays(band.l_lo, band.l_hi)
         self.log_s = self.arrays.log_s
@@ -262,7 +259,8 @@ class _BandData:
         # frexp(0) = (0, 0): an all-zero band keeps its zeros
         exponent = math.frexp(max(v_max, -v_min))[1]
         self.log_m = exponent * math.log(2.0)
-        self.wc = np.ldexp(self.values, -exponent)
+        self.wc, self.scratch = work
+        np.ldexp(self.values, -exponent, out=self.wc)
         self.wc *= self.arrays.w
 
     def amplitude(self, alpha: float, g_s: float, log_step: float = 0.0) -> float:
@@ -290,8 +288,8 @@ class _BandData:
     def centered_moments(self, alpha: float) -> tuple[float, ...]:
         """moments at alpha, from one pass over the band: the only way the
         package computes Ghat and its derivatives; raises if Ghat(alpha) <= 0."""
-        # wc * exp(alpha (log l - log l_hi)), formed in one buffer
-        tilt = np.multiply(self.log_s, alpha)
+        # wc * exp(alpha (log l - log l_hi)), formed in the scratch row
+        tilt = np.multiply(self.log_s, alpha, out=self.scratch)
         np.exp(tilt, out=tilt)
         tilt *= self.wc
         return self.moments(alpha, *np.einsum("ji,i->j", self.arrays.basis, tilt).tolist())
@@ -310,7 +308,10 @@ class _BandData:
 
 
 def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
-    return band if band is not None else full_band(spectrum.l_max)
+    band = band if band is not None else full_band(spectrum.l_max)
+    if band.l_hi > spectrum.l_max:
+        raise ValueError(f"band [{band.l_lo}, {band.l_hi}] exceeds l_max={spectrum.l_max}")
+    return band
 
 
 # A Ghat that overflows or sums inf - inf is inf or nan, which
@@ -325,8 +326,9 @@ def objective(
     spectrum: EmpiricalSpectrum, alpha: float, band: Band | None = None
 ) -> float:
     """Concentrated objective R(alpha) = log Ghat(alpha) - alpha * wbar."""
+    band = _band_or_full(spectrum, band)
     with _quiet():
-        data = _BandData(spectrum.values, _band_or_full(spectrum, band))
+        data = _BandData(spectrum.values, band, np.empty((2, band.width)))
         g_s = data.centered_moments(alpha)[0]
         return math.log(data.amplitude(alpha, g_s)) - alpha * data.wbar
 
@@ -357,7 +359,7 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     a1, a2 = box.alpha_min, box.alpha_max
     if data.positive:
         arrays = data.arrays
-        log_values = np.log(data.values)
+        log_values = np.log(data.values, out=data.scratch)
         slope = float(np.einsum("i,i", arrays.ols_weights, log_values)) / arrays.ols_den
         x = min(max(-slope, a1), a2)
         probe = None
@@ -434,12 +436,12 @@ def _on_edge(alpha: float, box: SearchBox) -> bool:
     return (alpha - box.alpha_min) < box.tol or (box.alpha_max - alpha) < box.tol
 
 
-def _estimate(values: np.ndarray, band: Band, box: SearchBox) -> tuple[float, float, int, bool]:
-    """estimate on the whole spectrum's values, without its wrapping:
+def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) -> tuple:
+    """estimate on the whole spectrum's values, in the caller's work block (see _BandData):
     (alpha_hat, g_hat, passes, converged).  Call it under _quiet()."""
     if band.width < 2:
         raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
-    return _score_root(_BandData(values, band), box)
+    return _score_root(_BandData(values, band, work), box)
 
 
 def estimate(
@@ -465,8 +467,9 @@ def estimate(
     band = _band_or_full(spectrum, band)
     if box is None:
         box = SearchBox()
+    work = np.empty((2, band.width))
     with _quiet():
-        x, g_hat, evals, converged = _estimate(spectrum.values, band, box)
+        x, g_hat, evals, converged = _estimate(spectrum.values, band, box, work)
     return EstimateResult(
         alpha_hat=float(x),
         g_hat=float(g_hat),

@@ -32,14 +32,20 @@ from sphwhittle.cli import main
 from sphwhittle.whittle import _BandData
 
 
+def _full_band_pass(spectrum: EmpiricalSpectrum, alpha: float) -> tuple[float, ...]:
+    # the estimator's one band pass on the full band, in a work block of its own
+    work = np.empty((2, spectrum.l_max))
+    return _BandData(spectrum.values, full_band(spectrum.l_max), work).centered_moments(alpha)
+
+
 def score(spectrum: EmpiricalSpectrum, alpha: float) -> float:
     """R'(alpha) on the full band, from the estimator's one band pass."""
-    return _BandData(spectrum.values, full_band(spectrum.l_max)).centered_moments(alpha)[1]
+    return _full_band_pass(spectrum, alpha)[1]
 
 
 def curvature(spectrum: EmpiricalSpectrum, alpha: float) -> float:
     """R''(alpha) on the full band, from the estimator's one band pass."""
-    return _BandData(spectrum.values, full_band(spectrum.l_max)).centered_moments(alpha)[2]
+    return _full_band_pass(spectrum, alpha)[2]
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> str:

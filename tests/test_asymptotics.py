@@ -168,6 +168,15 @@ class TestZNarrowband:
         ratio = z_narrowband(l_max, g, 0.0) / (float(l_max) ** 4 * g**4)
         assert ratio == pytest.approx(1 / 3, rel=0.03)
 
+    @pytest.mark.parametrize("l_max", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_expansion_in_g(self, l_max, s):
+        # Z / (L^(4+2s) g^4) = (1 - s g) / 3 + O(g^2), whatever s; the
+        # largest remainder on this grid is 0.289 g^2 (L = 1e4, s = 0.5)
+        g = 1 / math.log(l_max)
+        ratio = z_narrowband(l_max, g, s) / (float(l_max) ** (4 + 2 * s) * g**4)
+        assert abs(3 * ratio - (1 - s * g)) <= 0.5 * g**2
+
 
 class TestKFactor:
     def test_s_zero_exact(self):

@@ -262,6 +262,22 @@ class TestMc:
         cfg = write_config(tmp_path / "mc.json", _DIVERGENT)
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
 
+    def test_non_finite_factor_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch):
+        # the factor is computed when the config is built: a NonFiniteValue
+        # there is a numerical failure, not a malformed config
+        def no_draw(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sphwhittle.montecarlo, "_draw", no_draw)
+        config = mc_config(
+            model={"type": "power_law", "g0": 1e-200, "alpha0": 1.0},
+            noise={"g_n": 1.0, "gamma": 1.0},
+            scheme={"type": "noise"},
+        )
+        cfg = write_config(tmp_path / "mc.json", config)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err == "error: noise normalization factor is 0.0\n"
+
 
 # Runs in a fresh interpreter: each argv of the JSON list in sys.argv[1]
 # through cli.main, with every import of scipy refused.
@@ -473,6 +489,7 @@ _NOT_NOISE = {"object": {}, "list": [], "zero": 0, "string": "", "false": False}
             "estimate", {"box": {"tol": "1e-6"}}, _VALID_CSV, id="estimate-box-tol-string"
         ),
         pytest.param("estimate", {}, "l,c_hat\n1,abc\n", id="estimate-csv-string"),
+        pytest.param("estimate", {}, "l,c_hat\n1,2.0\n2,nan\n", id="estimate-csv-nan"),
         pytest.param("estimate", {"L": "x"}, _VALID_CSV, id="estimate-L-string"),
         pytest.param("estimate", {"band": "full"}, _VALID_CSV, id="estimate-band-string"),
         pytest.param("mc", mc_config(band="full"), None, id="mc-band-string"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphwhittle import ConfigError, NonPositiveAmplitude, SearchBox
+from sphwhittle import ConfigError, NonFiniteValue, NonPositiveAmplitude, SearchBox
 from sphwhittle._files import from_json, reading_config, write_csv, write_json
 
 
@@ -25,7 +25,9 @@ class TestReadingConfig:
         assert str(info.value) == message
         assert info.value.__cause__ is exc
 
-    @pytest.mark.parametrize("exc", [ConfigError("c"), NonPositiveAmplitude("n")])
+    @pytest.mark.parametrize(
+        "exc", [ConfigError("c"), NonPositiveAmplitude("n"), NonFiniteValue("f")]
+    )
     def test_package_errors_pass_unchanged(self, exc):
         with pytest.raises(type(exc)) as info:
             with reading_config("demo config"):

@@ -4,6 +4,7 @@ import math
 import os
 import runpy
 import signal
+import subprocess
 import sys
 import time
 import warnings
@@ -70,6 +71,14 @@ def pid_estimate(*args) -> tuple[float, float, int, bool]:
 
 PID_BOX = {"alpha_min": 1.0, "alpha_max": 1e9, "tol": 1e-6}
 
+# r_l = C_N / C_T = 1e200: (1 + r_l)^2 overflows, so V_band is inf and the
+# noise scheme's factor is 0
+NON_FINITE_FACTOR = {
+    "model": {"type": "power_law", "g0": 1e-200, "alpha0": 1.0},
+    "noise": {"g_n": 1.0, "gamma": 1.0},
+    "scheme": {"type": "noise"},
+}
+
 
 def base_config(**overrides) -> dict:
     d = {
@@ -106,12 +115,14 @@ class TestExperimentConfig:
         [
             ({"model": {"type": "table", "values": [1.0] * 300}}, Unsupported),
             ({"noise": {"g_n": 1.0, "gamma": 2.0}, "scheme": {"type": "noise"}}, UnsupportedRegime),
+            (NON_FINITE_FACTOR, NonFiniteValue),
         ],
-        ids=["table", "divergent_noise"],
+        ids=["table", "divergent_noise", "non_finite_factor"],
     )
     def test_scheme_faults_raise_before_replicating(self, monkeypatch, overrides, error):
-        # a scheme with no alpha0, or in the regime where the estimator
-        # diverges, raises when the config is built, before the first draw
+        # a scheme with no alpha0, in the regime where the estimator
+        # diverges, or with no finite factor raises when the config is
+        # built, before the first draw
         def no_draw(*args):
             raise AssertionError("a replication ran")
 
@@ -641,6 +652,44 @@ def test_pinned_bench_values(name):
             assert math.isnan(alpha)
         else:
             assert abs(alpha - ref) <= 1e-12
+
+
+# Runs in a fresh interpreter: the mc-large design (L = 20000, 50
+# replications) serially, once to warm up and once measured, and prints the
+# minor page faults per replication of the measured run.  With argv[2] =
+# "band_arrays_first", the band arrays are built before anything else.
+_FAULT_PROBE = """
+import json, resource, sys
+from sphwhittle import experiment_from_dict, run_experiment, whittle
+if sys.argv[2] == "band_arrays_first":
+    whittle._band_arrays(1, 20000)
+cfg, _ = experiment_from_dict(json.loads(sys.argv[1]))
+run_experiment(cfg, threads=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(cfg, threads=1)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.replications)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+@pytest.mark.parametrize("order", ["as_is", "band_arrays_first"])
+def test_replications_take_no_page_faults(order):
+    # each range draws and estimates in buffers it allocates once: a
+    # replication that allocated its own 160 kB arrays took 85-86 faults
+    # whenever the band arrays were built before the model spectrum, as the
+    # heap top was trimmed and regrown around them
+    config = base_config(L=20000, replications=50, seed=42)
+    src = str(Path(montecarlo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, json.dumps(config), order],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=600,
+    )
+    assert float(probe.stdout) < 10
 
 
 class TestReportFiles:
