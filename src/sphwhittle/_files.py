@@ -235,14 +235,12 @@ def experiment_from_dict(d: dict) -> tuple[ExperimentConfig, dict]:
         check_keys(d, _EXPERIMENT_KEYS, "experiment config")
         model = model_from_dict(d["model"])
         noise = noise_from_dict(d.get("noise"))
-        l_max = config_int(d["L"], "L")
-        band, band_resolved, box = search_from_dict(d, l_max)
+        band, band_resolved, box = search_from_dict(d, config_int(d["L"], "L"))
         # a "corrected" key, which older configs carry, has no effect
         scheme = d.get("scheme", {"type": "fullband"})
         check_keys(scheme, {"type", "corrected"}, "scheme")
         cfg = ExperimentConfig(
             scheme=NormalizationScheme(scheme.get("type"), band, model, noise),
-            l_max=l_max,
             box=box,
             replications=config_int(d["replications"], "replications"),
             master_seed=config_int(d["seed"], "seed"),

@@ -18,10 +18,10 @@ Replications run on up to one worker per usable CPU, one contiguous range
 of indices per worker.  On Linux the first range runs in this process and
 each other range in a child made by os.fork(); a worker costs a few
 milliseconds, so each gets at least _FORK_MIN_WORK (2e5) band terms,
-counted as its replications times l_max, and smaller runs, like every run
-on other platforms, are serial.  The band reductions do not call BLAS, and
-each replication has its own stream, so reports are pure functions of the
-config for any worker count and BLAS build.
+counted as its replications times l_max; a smaller run, like every run on
+other platforms, is one range, in this process.  The band reductions do
+not call BLAS, and each replication has its own stream, so reports are
+pure functions of the config for any worker count and BLAS build.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, _design, _draw, _stream_generators
+from .sampling import SeedSpec, _checked, _design, _draw, _stream_generators
 from .spectrum import NoiseModel, SpectrumModel, check_l_max
 from .whittle import (
     Band,
@@ -91,7 +91,6 @@ class ExperimentConfig:
     last, so a config the report cannot use fails before replicating."""
 
     scheme: NormalizationScheme
-    l_max: int
     box: SearchBox
     replications: int
     master_seed: int
@@ -102,11 +101,14 @@ class ExperimentConfig:
         check_l_max(self.l_max)
         if self.replications < 2:
             raise ValueError("replications must be >= 2")
-        if self.band.l_hi > self.l_max:
-            raise ValueError("band exceeds l_max")
         SeedSpec(self.master_seed)
         object.__setattr__(self, "alpha0", self.scheme.alpha0())
         object.__setattr__(self, "factor", normalization_factor(self.scheme))
+
+    @property
+    def l_max(self) -> int:
+        """The top multipole, the band's: replications draw l = 1..l_max."""
+        return self.band.l_hi
 
     @property
     def model(self) -> SpectrumModel:
@@ -284,25 +286,21 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
         with _quiet():
             for rng in _stream_generators(cfg.master_seed, indices):
                 try:
-                    alpha = _estimate(_draw(c, c_n, rng, x), cfg.band, cfg.box, work)[0]
+                    values = _checked(_draw(c, c_n, rng, x), c_n is not None)
+                    alpha = _estimate(values, cfg.band, cfg.box, work)[0]
                 except NumericalError:
                     outcomes.append((math.nan, "error"))
                     continue
                 outcomes.append((alpha, "boundary" if _on_edge(alpha, cfg.box) else "ok"))
         return outcomes
 
-    # the CPUs this process may use, where the platform says; more workers
-    # than that would only add hand-offs
-    has_mask = hasattr(os, "sched_getaffinity")
-    cpus = len(os.sched_getaffinity(0)) if has_mask else os.cpu_count() or 1
+    # workers are forked on Linux alone, up to the CPUs this process may
+    # use; more workers than that would only add hand-offs
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     work = cfg.replications * cfg.l_max
-    n = min(threads or cpus, cpus, cfg.replications, work // _FORK_MIN_WORK)
-    if n < 2 or sys.platform != "linux":
-        outcomes = replicate(range(cfg.replications))
-    else:
-        cuts = [cfg.replications * k // n for k in range(n + 1)]
-        outcomes = _forked(replicate, list(map(range, cuts[:-1], cuts[1:])))
-
+    n = max(1, min(threads or cpus, cpus, cfg.replications, work // _FORK_MIN_WORK))
+    cuts = [cfg.replications * k // n for k in range(n + 1)]
+    outcomes = _forked(replicate, list(map(range, cuts[:-1], cuts[1:])))
     return assemble(cfg, *zip(*outcomes))
 
 

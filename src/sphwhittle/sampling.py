@@ -69,15 +69,6 @@ def _checked(values: np.ndarray, debiased: bool) -> np.ndarray:
     return values
 
 
-def _own(values: np.ndarray, debiased: bool) -> EmpiricalSpectrum:
-    # an EmpiricalSpectrum around a checked buffer no caller sees, frozen, not copied
-    values.setflags(write=False)
-    spectrum = object.__new__(EmpiricalSpectrum)
-    object.__setattr__(spectrum, "values", values)
-    object.__setattr__(spectrum, "debiased", debiased)
-    return spectrum
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """Replication seed: a 64-bit master seed plus a stream index."""
@@ -213,23 +204,23 @@ def _draw(
 ) -> np.ndarray:
     """c_l X_l / (2l+1) with X_l ~ chi2(2l+1) (numpy's 2 Gamma(l + 1/2), so
     Gamma(l + 1/2) / (l + 1/2) bit for bit), minus c_n when it is given (a
-    debiased draw, with c = C_T + C_N), formed in out and checked over every
-    l as EmpiricalSpectrum checks its values.  An overflow is inf, which the
-    check reports as NonFiniteValue; the caller silences numpy's warning."""
+    debiased draw, with c = C_T + C_N), formed in out.  An overflow is inf,
+    which _checked reports as NonFiniteValue; the caller silences numpy's
+    warning."""
     half_df = _chisq_df(c.size)
     rng.standard_gamma(half_df, out=out)
     out /= half_df
     out *= c
     if c_n is not None:
         out -= c_n
-    return _checked(out, debiased=c_n is not None)
+    return out
 
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Draw C_hat_l = C_l * chi2(2l+1)/(2l+1) for l = 1..l_max."""
     c, _ = _design(model, None, l_max)
     with np.errstate(over="ignore"):
-        return _own(_draw(c, None, generator(seed), np.empty(l_max)), debiased=False)
+        return EmpiricalSpectrum(_draw(c, None, generator(seed), np.empty(l_max)))
 
 
 def sample_observed_debiased(
@@ -242,4 +233,4 @@ def sample_observed_debiased(
     """
     c, c_n = _design(model, noise, l_max)
     with np.errstate(over="ignore"):
-        return _own(_draw(c, c_n, generator(seed), np.empty(l_max)), debiased=True)
+        return EmpiricalSpectrum(_draw(c, c_n, generator(seed), np.empty(l_max)), debiased=True)

@@ -157,9 +157,8 @@ def narrow_band(l_max: int, c_g: float = 1.0) -> Band:
         raise ValueError("l_max must be >= 3")
     if not 0 < c_g <= 1:
         raise ValueError("c_g must lie in (0, 1]")
+    # g <= 1 / ln 3 < 1 for these l_max and c_g
     g = c_g / math.log(l_max)
-    if g >= 1:
-        raise ValueError("band fraction g must be < 1")
     l_lo = max(1, math.ceil(l_max * (1.0 - g)))
     if l_max - l_lo + 1 < 3:
         raise BandTooNarrow(f"band [{l_lo}, {l_max}] has fewer than 3 multipoles")
@@ -226,6 +225,11 @@ def _probe_rows(l_lo: int, l_hi: int, a_min: float, a_max: float) -> np.ndarray:
     rows = np.concatenate([edges, np.exp(mid * arrays.log_s) * arrays.basis])
     rows.setflags(write=False)
     return rows
+
+
+def _check_width(band: Band) -> None:
+    if band.width < 2:
+        raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
 
 
 def _check_amplitude(g: float, alpha: float) -> float:
@@ -316,8 +320,8 @@ def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
 
 # A Ghat that overflows or sums inf - inf is inf or nan, which
 # _check_amplitude reports as a typed error, so numpy's warnings are silenced
-# where Ghat is computed.  numpy keeps this state per thread (a context
-# variable), so it is entered here, in the thread that does the work.
+# where Ghat is computed.  The callers enter it once around their work:
+# estimate and objective per call, the replication loop once per range.
 def _quiet():
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -333,8 +337,10 @@ def objective(
         return math.log(data.amplitude(alpha, g_s)) - alpha * data.wbar
 
 
-def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, bool]:
-    """Root of the score by safeguarded Halley-bisection.
+def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) -> tuple:
+    """estimate on the whole spectrum's values, in the caller's work block
+    (see _BandData): the root of the score by safeguarded Halley-bisection.
+    Call it under _quiet(), on a band of at least 2 multipoles.
 
     With positive values R is a log-sum-exp of affine functions of alpha,
     so it is convex and its score increases: the minimizer over the box is
@@ -356,6 +362,7 @@ def _score_root(data: _BandData, box: SearchBox) -> tuple[float, float, int, boo
     of log Ghat from the last pass.  Returns (alpha, Ghat(alpha), passes
     over the band, converged).
     """
+    data = _BandData(values, band, work)
     a1, a2 = box.alpha_min, box.alpha_max
     if data.positive:
         arrays = data.arrays
@@ -436,14 +443,6 @@ def _on_edge(alpha: float, box: SearchBox) -> bool:
     return (alpha - box.alpha_min) < box.tol or (box.alpha_max - alpha) < box.tol
 
 
-def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) -> tuple:
-    """estimate on the whole spectrum's values, in the caller's work block (see _BandData):
-    (alpha_hat, g_hat, passes, converged).  Call it under _quiet()."""
-    if band.width < 2:
-        raise DegenerateBand(f"band [{band.l_lo}, {band.l_hi}] cannot identify alpha")
-    return _score_root(_BandData(values, band, work), box)
-
-
 def estimate(
     spectrum: EmpiricalSpectrum, band: Band | None = None, box: SearchBox | None = None
 ) -> EstimateResult:
@@ -465,6 +464,7 @@ def estimate(
     DegenerateBand for bands of fewer than 2 multipoles.
     """
     band = _band_or_full(spectrum, band)
+    _check_width(band)
     if box is None:
         box = SearchBox()
     work = np.empty((2, band.width))
@@ -491,9 +491,10 @@ class NormalizationScheme:
 
     fullband, narrowband and noise give V_band^(-1/2), so the normalized
     errors tend to N(0, 1); rate gives 1 / b_band per unit kappa, so their
-    mean tends to kappa.  narrowband requires a band above l = 1 and noise a
-    noise model; normalization_factor computes the factor, and alpha0()
-    the value the errors are taken from.
+    mean tends to kappa.  A band of fewer than 2 multipoles, which cannot
+    identify alpha, raises DegenerateBand.  narrowband requires a band above
+    l = 1 and noise a noise model; normalization_factor computes the factor,
+    and alpha0() the value the errors are taken from.
     """
 
     tag: str
@@ -508,6 +509,7 @@ class NormalizationScheme:
             raise ValueError("narrowband scheme requires a narrow band")
         if self.tag == "noise" and self.noise is None:
             raise ValueError("noise scheme requires a noise model")
+        _check_width(self.band)
 
     def alpha0(self) -> float:
         """The model's alpha0.  Raises Unsupported for a model with none (a

@@ -278,6 +278,28 @@ class TestMc:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 2
         assert capsys.readouterr().err == "error: noise normalization factor is 0.0\n"
 
+    @pytest.mark.parametrize(
+        "overrides, band",
+        [
+            ({"band": {"type": "narrow", "L1": 150}}, "[150, 150]"),
+            ({"band": {"type": "narrow", "L1": 150}, "scheme": {"type": "rate"}}, "[150, 150]"),
+            ({"L": 1}, "[1, 1]"),
+        ],
+        ids=["fullband", "rate", "l_max_1"],
+    )
+    def test_one_multipole_band_exits_one_before_replicating(
+        self, tmp_path, capsys, monkeypatch, overrides, band
+    ):
+        # a band of one multipole cannot identify alpha: a config error, as
+        # in estimate, and not a factor that is not finite
+        def no_draw(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sphwhittle.montecarlo, "_draw", no_draw)
+        cfg = write_config(tmp_path / "mc.json", mc_config(**overrides))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 1
+        assert capsys.readouterr().err == f"error: band {band} cannot identify alpha\n"
+
 
 # Runs in a fresh interpreter: each argv of the JSON list in sys.argv[1]
 # through cli.main, with every import of scipy refused.

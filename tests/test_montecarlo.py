@@ -98,17 +98,10 @@ def base_config(**overrides) -> dict:
 class TestExperimentConfig:
     def test_validation(self):
         cfg, _ = experiment_from_dict(base_config())
-        wide = NormalizationScheme("fullband", Band(1, 400), cfg.model)
         with pytest.raises(ValueError):
-            ExperimentConfig(
-                scheme=cfg.scheme, l_max=300, box=cfg.box, replications=1, master_seed=0
-            )
+            ExperimentConfig(scheme=cfg.scheme, box=cfg.box, replications=1, master_seed=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(scheme=wide, l_max=300, box=cfg.box, replications=10, master_seed=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                scheme=cfg.scheme, l_max=300, box=cfg.box, replications=10, master_seed=2**64
-            )
+            ExperimentConfig(scheme=cfg.scheme, box=cfg.box, replications=10, master_seed=2**64)
 
     @pytest.mark.parametrize(
         "overrides, error",

@@ -29,6 +29,7 @@ from sphwhittle import (
     sample_observed_debiased,
     spectrum_values,
 )
+from sphwhittle import whittle
 from sphwhittle.errors import BandTooNarrow
 from sphwhittle.whittle import _BandData
 
@@ -391,6 +392,23 @@ class TestEstimate:
         with pytest.raises(DegenerateBand):
             estimate(spec, Band(20, 20), SearchBox())
 
+    def test_band_beyond_spectrum_rejected(self):
+        spec = sample_empirical(MODEL, 50, SeedSpec(13, 0))
+        message = r"band \[1, 51\] exceeds l_max=50"
+        with pytest.raises(ValueError, match=message):
+            estimate(spec, Band(1, 51))
+        with pytest.raises(ValueError, match=message):
+            objective(spec, 3.0, Band(1, 51))
+
+    def test_search_stops_at_evaluation_cap(self, monkeypatch):
+        # a debiased band's probe pass is its first; with a cap of 1 the
+        # search returns the point it would evaluate next, unconverged
+        monkeypatch.setattr(whittle, "_MAX_EVALS", 1)
+        box = SearchBox()
+        result = estimate(mc_noise_spectrum(0), box=box)
+        assert (result.converged, result.evaluations) == (False, 1)
+        assert box.alpha_min <= result.alpha_hat <= box.alpha_max
+
     def test_boundary_snap_at_lower_edge(self):
         spec = exact_spectrum(2.0, 3.0, 500)
         result = estimate(spec, full_band(500), SearchBox(4.0, 10.0))
@@ -750,6 +768,11 @@ class TestCorrectionFactor:
 
 
 class TestNormalizationFactor:
+    def test_one_multipole_band_rejected(self):
+        # S = 0 on one multipole: no scheme has a factor there
+        with pytest.raises(DegenerateBand, match=r"band \[5, 5\] cannot identify alpha"):
+            NormalizationScheme("fullband", Band(5, 5), MODEL)
+
     def test_fullband_uncorrected(self):
         # V_band = 2 / S without noise; its limit is sqrt(2) L / 4
         assert factor("fullband", 2000) == pytest.approx(
