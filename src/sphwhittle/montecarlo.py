@@ -14,14 +14,18 @@ search boundary are counted in boundary_hits and excluded from moment
 statistics (a diverging design would otherwise destroy every statistic);
 all replications appear in the per-replication table with a status column.
 
-Replications run on up to one worker per usable CPU, one contiguous range
-of indices per worker.  On Linux the first range runs in this process and
-each other range in a child made by os.fork(); a worker costs a few
-milliseconds, so each gets at least _FORK_MIN_WORK (2e5) band terms,
-counted as its replications times l_max; a smaller run, like every run on
-other platforms, is one range, in this process.  The band reductions do
-not call BLAS, and each replication has its own stream, so reports are
-pure functions of the config for any worker count and BLAS build.
+On Linux replications run on up to one worker per usable CPU, each with at
+least _WORKER_MIN_WORK (2e5) band terms, counted as its replications times
+l_max; a smaller run, like every run on other platforms, is one worker,
+this process.  The workers share one queue of chunks of ~1 ms of work and
+each takes the next chunk when it finishes one, so a worker on a slow CPU
+takes fewer.  From l_max = _THREAD_MIN_L_MAX (1.5e4) the other workers are
+threads, as numpy releases the GIL in the draw and the band passes; below
+it, where GIL hand-offs around short numpy calls cost more than a fork,
+they are children made by os.fork().  The band reductions do not call
+BLAS, each replication has its own stream, and outcomes are placed by
+index, so reports are pure functions of the config for any worker count,
+hand-out order and BLAS build.
 """
 from __future__ import annotations
 
@@ -30,9 +34,12 @@ import os
 import pickle
 import signal
 import sys
+import threading
 import traceback
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -44,7 +51,7 @@ from .errors import (
     NumericalError,
     SampleSizeOutOfRange,
 )
-from .sampling import SeedSpec, _checked, _design, _draw, _stream_generators
+from .sampling import SeedSpec, _checked, _design, _draw, _stream_generator, _stream_seeds
 from .spectrum import NoiseModel, SpectrumModel, check_l_max
 from .whittle import (
     Band,
@@ -74,14 +81,28 @@ DEFAULT_CUTPOINTS = (-1.96, -1.0, -0.68, 0.0, 0.68, 1.0, 1.96)
 
 _SW_MAX_N = 5000
 
-# Forked workers run when each gets at least this many band terms
-# (replications x l_max).  A run_experiment sweep in a numpy-only process, on
-# a 2-vCPU VM (serial -> 2 forked workers, medians of 7-25 alternated runs
+# Workers run when each gets at least this many band terms (replications x
+# l_max).  A run_experiment sweep of forked workers in a numpy-only process,
+# on a 2-vCPU VM (serial -> 2 forked workers, medians of 7-25 alternated runs
 # per cell, positive and debiased designs at L = 200, 2000 and 20000) found
 # two workers losing in every cell at 5e4 terms each (0.61-0.98x), winning
 # 5 of 16 cells at 1e5 (0.48-1.55x), 10 of 16 at 2e5 (0.68-1.44x) and
-# 6 of 6 at 4e5 (1.09-1.45x).  A fork, pipe and reap costs 5-10 ms there.
-_FORK_MIN_WORK = 200_000
+# 6 of 6 at 4e5 (1.09-1.45x).
+_WORKER_MIN_WORK = 200_000
+
+# Workers are threads from this l_max up and forked processes below it: the
+# draw over l = 1..l_max, the longest call, sets how much of a replication
+# runs without the GIL.  A sweep on a 2-vCPU VM (serial -> 2 workers, 1e6
+# band terms per run, positive, narrow and debiased designs) read forks
+# 1.56-2.03x against threads 0.83-1.38x at L <= 5000, forks ahead at 1e4,
+# the two even at 1.5e4, and threads ahead from 2e4 (1.38-1.70x against
+# 1.31-1.63x), narrow bands included.
+_THREAD_MIN_L_MAX = 15_000
+
+# band terms per chunk, ~1 ms of work; a chunk number is a _TOKEN-byte token
+_CHUNK_WORK = 20_000
+_TOKEN = 4
+_MAX_CHUNKS = 4096 // _TOKEN
 
 
 @dataclass(frozen=True)
@@ -265,43 +286,59 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
 
     threads caps the workers, which never outnumber the CPUs this process
     may use (the default) or the replications; the module docstring says
-    when they are forked processes.  An exception raised in a child is
-    re-raised here, with the child's traceback as its cause; a child that
-    ends without reporting raises ChildProcessError; and every child is
-    reaped before this returns.  Replication i draws from its own stream
-    SeedSpec(master_seed, i), so the report does not depend on threads;
-    each range seeds its streams in blocks, bit-identical to
-    default_rng(SeedSequence((master_seed, i))).
+    when they are threads and when forked processes.  An exception raised
+    in a worker is re-raised here, once the other workers stop taking
+    chunks; a forked child's traceback comes as its cause, and a child
+    that ends without reporting raises ChildProcessError.  Every thread is
+    joined, and every child reaped, before this returns.  Replication i
+    draws from its own stream SeedSpec(master_seed, i), whose seed words
+    are hashed in blocks before any worker starts, bit-identical to
+    default_rng(SeedSequence((master_seed, i))), and its outcome is placed
+    by i, so the report depends neither on threads nor on which worker ran
+    which chunk.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
     c, c_n = _design(cfg.model, cfg.noise, cfg.l_max)
+    seeds = _stream_seeds(cfg.master_seed, cfg.replications)
 
-    def replicate(indices: range) -> list[tuple[float, str]]:
+    def replicate(chunks: _Chunks) -> list[tuple[int, float, str]]:
         # each replication is sample_* and estimate on the raw draw, in the
-        # range's own buffers; an overflow in the draw or in Ghat ends as a
-        # typed error, so numpy's warnings are silenced once for the range
+        # worker's own buffers; an overflow in the draw or in Ghat ends as a
+        # typed error, so numpy's warnings are silenced once per worker
         outcomes = []
         x, work = np.empty(cfg.l_max), np.empty((2, cfg.band.width))
-        with _quiet():
-            for rng in _stream_generators(cfg.master_seed, indices):
-                try:
-                    values = _checked(_draw(c, c_n, rng, x), c_n is not None)
-                    alpha = _estimate(values, cfg.band, cfg.box, work)[0]
-                except NumericalError:
-                    outcomes.append((math.nan, "error"))
-                    continue
-                outcomes.append((alpha, "boundary" if _on_edge(alpha, cfg.box) else "ok"))
+        try:
+            with _quiet():
+                for indices in chunks:
+                    for i in indices:
+                        try:
+                            draw = _draw(c, c_n, _stream_generator(seeds[i]), x)
+                            values = _checked(draw, c_n is not None)
+                            alpha = _estimate(values, cfg.band, cfg.box, work)[0]
+                        except NumericalError:
+                            outcomes.append((i, math.nan, "error"))
+                            continue
+                        status = "boundary" if _on_edge(alpha, cfg.box) else "ok"
+                        outcomes.append((i, alpha, status))
+        except BaseException:
+            chunks.stop()
+            raise
         return outcomes
 
-    # workers are forked on Linux alone, up to the CPUs this process may
-    # use; more workers than that would only add hand-offs
+    # workers run on Linux alone, up to the CPUs this process may use; more
+    # workers than that would only add hand-offs
     cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
     work = cfg.replications * cfg.l_max
-    n = max(1, min(threads or cpus, cpus, cfg.replications, work // _FORK_MIN_WORK))
-    cuts = [cfg.replications * k // n for k in range(n + 1)]
-    outcomes = _forked(replicate, list(map(range, cuts[:-1], cuts[1:])))
-    return assemble(cfg, *zip(*outcomes))
+    n = max(1, min(threads or cpus, cpus, cfg.replications, work // _WORKER_MIN_WORK))
+    start = _threaded if cfg.l_max >= _THREAD_MIN_L_MAX else _forked
+    chunks = _Chunks(cfg.replications, cfg.l_max)
+    try:
+        parts = start(partial(replicate, chunks), n)
+    finally:
+        chunks.close()
+    _, alpha_hats, statuses = zip(*sorted(chain.from_iterable(parts)))
+    return assemble(cfg, alpha_hats, statuses)
 
 
 def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
@@ -352,21 +389,84 @@ def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
     )
 
 
-def _forked(run, ranges: list[range]) -> list:
-    """run(ranges[0]) in this process and run(r) for each later range in a
-    child made by os.fork(); the outcomes, joined in range order.
+class _Chunks:
+    """Replications 0..replications-1 in chunks of about _CHUNK_WORK band
+    terms: iterating yields the indices of the next chunk not yet taken,
+    until none is left.
 
-    A child sends its outcomes, or the exception it raised and its
-    formatted traceback, pickled through a pipe and ends with os._exit.  An
-    exception from a child is re-raised here with that text as its cause
-    (a _RemoteTraceback), since pickling drops the frames; a child that
-    ends without a complete report raises ChildProcessError.  Every child
-    is reaped before this returns or raises, and one still running is
-    killed first.
+    The chunk numbers go as tokens into one pipe, whose write end is closed
+    before any worker starts, so threads and forked children share them and
+    each token goes to one reader.  The tokens fill at most 4096 bytes
+    (PIPE_BUF on Linux), so the write cannot block, even on a one-page pipe.
+    """
+
+    def __init__(self, replications: int, l_max: int) -> None:
+        self._size = max(1, _CHUNK_WORK // l_max, -(-replications // _MAX_CHUNKS))
+        self._replications = replications
+        count = -(-replications // self._size)
+        self._fd, write_end = os.pipe()
+        try:
+            os.write(write_end, np.arange(count, dtype="<u4").tobytes())
+        finally:
+            os.close(write_end)
+
+    def __iter__(self) -> Iterator[range]:
+        for token in iter(partial(os.read, self._fd, _TOKEN), b""):
+            start = int.from_bytes(token, "little") * self._size
+            yield range(start, min(start + self._size, self._replications))
+
+    def stop(self) -> None:
+        """Take every chunk left, so no worker takes another."""
+        while os.read(self._fd, 4096):
+            pass
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+
+def _threaded(run, n: int) -> list:
+    """run() in this thread and in n - 1 other threads; their results, this
+    thread's first.  An exception raised in any of them is re-raised here,
+    with its traceback, once every thread has been joined."""
+    results: list = [None] * n
+
+    def work(k: int) -> None:
+        try:
+            results[k] = run()
+        except BaseException as exc:  # re-raised by the caller
+            results[k] = exc
+
+    started = []
+    try:
+        for k in range(1, n):
+            thread = threading.Thread(target=work, args=(k,), name=f"sphwhittle-worker-{k}")
+            thread.start()
+            started.append(thread)
+        results[0] = run()
+    finally:
+        for thread in started:
+            thread.join()
+    for part in results:
+        if isinstance(part, BaseException):
+            raise part
+    return results
+
+
+def _forked(run, n: int) -> list:
+    """run() in this process and in n - 1 children made by os.fork(); their
+    results, this process's first.
+
+    A child sends its result, or the exception it raised and its formatted
+    traceback, pickled through a pipe and ends with os._exit.  An exception
+    from a child is re-raised here with that text as its cause (a
+    _RemoteTraceback), since pickling drops the frames; a child that ends
+    without a complete report raises ChildProcessError.  Every child is
+    reaped before this returns or raises, and one still running is killed
+    first.
     """
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
-        for indices in ranges[1:]:
+        for _ in range(n - 1):
             read_end, write_end = os.pipe()
             try:
                 # Python >= 3.12 warns (DeprecationWarning) on a fork in a
@@ -381,10 +481,10 @@ def _forked(run, ranges: list[range]) -> list:
                 raise
             if pid == 0:
                 os.close(read_end)
-                _report(run, indices, write_end)
+                _report(run, write_end)
             os.close(write_end)
             children[pid] = read_end
-        outcomes = run(ranges[0])
+        results = [run()]
         for pid, read_end in list(children.items()):
             data = b"".join(iter(partial(os.read, read_end, 1 << 16), b""))
             _, status = os.waitpid(pid, 0)
@@ -398,8 +498,8 @@ def _forked(run, ranges: list[range]) -> list:
                 ) from None
             if not ok:
                 raise part from _RemoteTraceback(text)
-            outcomes += part
-        return outcomes
+            results.append(part)
+        return results
     finally:
         for pid, read_end in children.items():
             os.close(read_end)
@@ -411,8 +511,8 @@ class _RemoteTraceback(Exception):
     """The traceback of an exception raised in a forked worker, as text."""
 
 
-def _report(run, indices: range, fd: int):
-    """In a forked child: write (True, run(indices), None) or (False, the
+def _report(run, fd: int):
+    """In a forked child: write (True, run(), None) or (False, the
     exception it raised, its formatted traceback) to fd, pickled, and end
     the process without running exit handlers or flushing stdio buffers
     inherited from the parent."""
@@ -421,7 +521,7 @@ def _report(run, indices: range, fd: int):
         # any exception, KeyboardInterrupt included, goes to the parent,
         # which re-raises it
         try:
-            report = (True, run(indices), None)
+            report = (True, run(), None)
         except BaseException as exc:
             report = (False, exc, traceback.format_exc())
         with open(fd, "wb") as pipe:

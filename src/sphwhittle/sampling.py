@@ -9,14 +9,13 @@ C_hat_l is drawn from that law directly, without the coefficients.
 Every draw is keyed by a SeedSpec (master seed, stream index), one
 independent stream per replication, so parallel experiments are bit-for-bit
 reproducible regardless of scheduling.  generator() seeds one stream through
-numpy's SeedSequence; a Monte Carlo run seeds its streams in blocks
-(_stream_generators), which hashes many stream indices at once and yields
-generators bit-identical to generator()'s.
+numpy's SeedSequence; a Monte Carlo run hashes its streams' seed words in
+blocks (_stream_seeds), many stream indices at once, and builds from them
+generators bit-identical to generator()'s (_stream_generator).
 """
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,13 +170,20 @@ class _StreamSeed(ISeedSequence):
         return self.words
 
 
-def _stream_generators(master_seed: int, indices: range) -> Iterator[np.random.Generator]:
-    """Yield generator(SeedSpec(master_seed, i)) for i in indices (step 1,
-    below 2**64), bit for bit, hashing _SEED_BLOCK streams at a time."""
-    for start in range(indices.start, indices.stop, _SEED_BLOCK):
-        stop = min(start + _SEED_BLOCK, indices.stop)
-        for words in _stream_words(master_seed, start, stop):
-            yield np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+def _stream_seeds(master_seed: int, count: int) -> np.ndarray:
+    """The PCG64 seed words of streams 0..count-1 (count <= 2**64), one row
+    per stream, hashing _SEED_BLOCK streams at a time."""
+    seeds = np.empty((count, 4), dtype=np.uint64)
+    for start in range(0, count, _SEED_BLOCK):
+        stop = min(start + _SEED_BLOCK, count)
+        seeds[start:stop] = _stream_words(master_seed, start, stop)
+    return seeds
+
+
+def _stream_generator(words: np.ndarray) -> np.random.Generator:
+    """generator(SeedSpec(master_seed, i)), bit for bit, from row i of
+    _stream_seeds(master_seed, ...)."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -321,7 +321,7 @@ def _band_or_full(spectrum: EmpiricalSpectrum, band: Band | None) -> Band:
 # A Ghat that overflows or sums inf - inf is inf or nan, which
 # _check_amplitude reports as a typed error, so numpy's warnings are silenced
 # where Ghat is computed.  The callers enter it once around their work:
-# estimate and objective per call, the replication loop once per range.
+# estimate and objective per call, the replication loop once per worker.
 def _quiet():
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -433,8 +433,8 @@ def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) 
             target = proposed
         dx_old, dx = dx, target - x
         if evals >= _MAX_EVALS:
-            # target unevaluated; Ghat is the last pass's
-            return target, data.amplitude(x, g0), evals, False
+            # the last evaluated iterate, so alpha and Ghat are one point
+            return x, data.amplitude(x, g0), evals, False
         x = target
 
 

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sphwhittle
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
-from sphwhittle.montecarlo import _FORK_MIN_WORK
+from sphwhittle.montecarlo import _WORKER_MIN_WORK
 
 
 def write_config(path, payload) -> str:
@@ -188,8 +188,8 @@ def assert_artifacts_ignore_threads(tmp_path, config: dict) -> None:
 
 class TestMc:
     def test_byte_identical_runs_and_threads(self, tmp_path):
-        # serial at L = 150; forked workers at L = 500 and at L = 20000
-        for l_max, reps in ((150, 40), (500, 2 * _FORK_MIN_WORK // 500), (20000, 40)):
+        # serial at L = 150; forked workers at L = 500 and threads at L = 20000
+        for l_max, reps in ((150, 40), (500, 2 * _WORKER_MIN_WORK // 500), (20000, 40)):
             cfg = write_config(tmp_path / "mc.json", mc_config(L=l_max, replications=reps))
             outs = [tmp_path / f"{l_max}-{reps}-{name}" for name in "abc"]
             for out, threads in zip(outs, ("1", "1", "4")):
@@ -199,14 +199,14 @@ class TestMc:
 
     def test_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
         # a BLAS reduction's rounding depends on its thread count past ~1e4
-        # entries; the band reductions must not call BLAS, and the forked
-        # workers must not change any replication
+        # entries; the band reductions must not call BLAS, and the worker
+        # threads must not change any replication
         assert_artifacts_ignore_threads(tmp_path, mc_config(L=20000, replications=50, seed=42))
 
     def test_debiased_artifacts_ignore_blas_and_worker_threads(self, tmp_path):
         # the same on debiased spectra, whose searches start with the
-        # one-pass probe of the box edges and midpoint: on forked workers at
-        # L = 20000 and at L = 2000
+        # one-pass probe of the box edges and midpoint: on worker threads at
+        # L = 20000 and on forked workers at L = 2000
         config = mc_config(
             model={"type": "power_law", "g0": 1.0, "alpha0": 3.0},
             noise={"g_n": 1.0, "gamma": 2.2},
@@ -216,8 +216,8 @@ class TestMc:
             seed=42,
         )
         for name, overrides in (
-            ("fork_l20000", {}),
-            ("fork", {"L": 2000, "replications": 2 * _FORK_MIN_WORK // 2000}),
+            ("threads_l20000", {}),
+            ("fork", {"L": 2000, "replications": 2 * _WORKER_MIN_WORK // 2000}),
         ):
             (tmp_path / name).mkdir()
             assert_artifacts_ignore_threads(tmp_path / name, dict(config, **overrides))
@@ -342,8 +342,9 @@ class TestNumpyOnlyRuntime:
             "oracle": ["oracle", "--config", oracle],
         }
         for l_max in (2000, 20000):
-            # replications enough for two forked workers
-            config = mc_config(L=l_max, replications=2 * _FORK_MIN_WORK // l_max)
+            # replications enough for two workers: forked at L = 2000,
+            # threads at L = 20000
+            config = mc_config(L=l_max, replications=2 * _WORKER_MIN_WORK // l_max)
             mc = write_config(tmp_path / f"mc{l_max}.json", config)
             commands[f"mc{l_max}"] = ["mc", "--config", mc, "--threads", "2"]
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -6,6 +7,7 @@ import runpy
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -52,7 +54,7 @@ from sphwhittle import (
     write_report_files,
 )
 from sphwhittle import montecarlo
-from sphwhittle.montecarlo import _FORK_MIN_WORK
+from sphwhittle.montecarlo import _WORKER_MIN_WORK
 from sphwhittle.sampling import _SEED_BLOCK
 from sphwhittle.whittle import _estimate
 
@@ -70,6 +72,40 @@ def pid_estimate(*args) -> tuple[float, float, int, bool]:
 
 
 PID_BOX = {"alpha_min": 1.0, "alpha_max": 1e9, "tol": 1e-6}
+
+
+def count_workers(monkeypatch) -> dict[str, int]:
+    """Counts, in this process, the forks and the thread starts that follow."""
+    started = {"fork": 0, "thread": 0}
+    fork, start = os.fork, threading.Thread.start
+
+    def counting_fork():
+        started["fork"] += 1
+        return fork()
+
+    def counting_start(thread):
+        started["thread"] += 1
+        start(thread)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the main thread if the block outlasts seconds."""
+
+    def hung(signum, frame):
+        raise TimeoutError("run_experiment did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 # r_l = C_N / C_T = 1e200: (1 + r_l)^2 overflows, so V_band is inf and the
 # noise scheme's factor is 0
@@ -325,8 +361,8 @@ class TestSummarize:
 
 class TestRunExperiment:
     def test_deterministic_and_thread_invariant(self):
-        # serial at L = 300; forked workers at L = 500 and at L = 20000
-        for l_max, reps in ((300, 100), (500, 2 * _FORK_MIN_WORK // 500), (20000, 20)):
+        # serial at L = 300; forked workers at L = 500 and threads at L = 20000
+        for l_max, reps in ((300, 100), (500, 2 * _WORKER_MIN_WORK // 500), (20000, 20)):
             cfg, resolved = experiment_from_dict(base_config(L=l_max, replications=reps))
             r1 = run_experiment(cfg, threads=1)
             r2 = run_experiment(cfg, threads=1)
@@ -348,12 +384,12 @@ class TestRunExperiment:
             ({"g_n": 1.0, "gamma": 2.2}, {}),
             # one stream more than a seeding block
             (None, {"L": 20, "replications": _SEED_BLOCK + 1}),
-            # in a forked child at L = 20000, the second half of the indices
-            ({"g_n": 1.0, "gamma": 2.2}, {"L": 20000, "replications": 2 * _FORK_MIN_WORK // 20000}),
-            # in a forked child at L = 500, the second half of the indices
-            ({"g_n": 1.0, "gamma": 2.2}, {"L": 500, "replications": 2 * _FORK_MIN_WORK // 500}),
+            # two worker threads at L = 20000, each taking chunks
+            ({"g_n": 1.0, "gamma": 2.2}, {"L": 20000, "replications": 2 * _WORKER_MIN_WORK // 20000}),
+            # two forked workers at L = 500, each taking chunks
+            ({"g_n": 1.0, "gamma": 2.2}, {"L": 500, "replications": 2 * _WORKER_MIN_WORK // 500}),
         ],
-        ids=["None", "noise1", "block_plus_one", "fork_l20000", "fork"],
+        ids=["None", "noise1", "block_plus_one", "threads_l20000", "fork"],
     )
     def test_replications_match_public_samplers(self, noise, overrides):
         # run_experiment computes the model spectra once per run and seeds
@@ -377,42 +413,42 @@ class TestRunExperiment:
     @needs_fork
     @pytest.mark.parametrize("failure", ["child_raises", "child_killed", "parent_raises"])
     def test_forked_worker_failures(self, monkeypatch, failure):
-        # two forked workers; the child runs the second range.  A child's
-        # exception keeps its type and its traceback, a killed child is an
-        # error, not a hang, and no child outlives the run
+        # two forked workers; the parent's first replication waits until the
+        # child has taken a chunk.  A child's exception keeps its type and
+        # its traceback, a killed child is an error, not a hang, and no
+        # child outlives the run
         parent = os.getpid()
+        taken_r, taken_w = os.pipe()
+        waited = []
 
         def fake_estimate(*args):
             # stands in for the replication core, whittle._estimate
-            in_child = os.getpid() != parent
-            if failure == "child_raises" and in_child:
-                raise LookupError("raised in the child")
-            if failure == "child_killed" and in_child:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if failure == "parent_raises":
-                if in_child:
-                    time.sleep(60)  # the parent must kill it, not wait
-                raise LookupError("raised in the parent")
+            if os.getpid() != parent:
+                os.write(taken_w, b"x")
+                if failure == "child_raises":
+                    raise LookupError("raised in the child")
+                if failure == "child_killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(60)  # parent_raises: the parent must kill it, not wait
+            if not waited:
+                waited.append(os.read(taken_r, 1))
+                if failure == "parent_raises":
+                    raise LookupError("raised in the parent")
             return _estimate(*args)
 
-        def hung(signum, frame):
-            raise TimeoutError("run_experiment did not return")
-
         monkeypatch.setattr(montecarlo, "_estimate", fake_estimate)
-        cfg, _ = experiment_from_dict(base_config(L=500, replications=2 * _FORK_MIN_WORK // 500))
+        cfg, _ = experiment_from_dict(base_config(L=500, replications=2 * _WORKER_MIN_WORK // 500))
         expected, message = {
             "child_raises": (LookupError, "raised in the child"),
             "child_killed": (ChildProcessError, f"wait status {int(signal.SIGKILL)}"),
             "parent_raises": (LookupError, "raised in the parent"),
         }[failure]
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
         try:
-            with pytest.raises(expected, match=message) as raised:
+            with deadline(30), pytest.raises(expected, match=message) as raised:
                 run_experiment(cfg, threads=2)
         finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+            os.close(taken_r)
+            os.close(taken_w)
         if failure == "child_raises":
             # the child's frames arrive as the cause's text
             assert "fake_estimate" in str(raised.value.__cause__)
@@ -420,23 +456,128 @@ class TestRunExperiment:
             os.waitpid(-1, os.WNOHANG)
 
     @needs_fork
+    @pytest.mark.parametrize("failure", ["worker_raises", "caller_raises"])
+    def test_threaded_worker_failures(self, monkeypatch, failure):
+        # two worker threads; the caller's first replication waits until the
+        # other thread has taken a chunk.  The other thread's exception is
+        # re-raised with its type and message; the caller's stops the other
+        # thread taking chunks; every thread is joined
+        caller = threading.get_ident()
+        taken = threading.Event()
+        worker_calls, waited = [], []
+
+        def fake_estimate(*args):
+            if threading.get_ident() != caller:
+                worker_calls.append(None)
+                taken.set()
+                if failure == "worker_raises":
+                    raise LookupError("raised in a worker thread")
+                time.sleep(0.05)
+            elif not waited:
+                waited.append(taken.wait(30))
+                if failure == "caller_raises":
+                    raise LookupError("raised in the caller")
+            return _estimate(*args)
+
+        monkeypatch.setattr(montecarlo, "_estimate", fake_estimate)
+        l_max = montecarlo._THREAD_MIN_L_MAX
+        replications = -(-2 * _WORKER_MIN_WORK // l_max)
+        cfg, _ = experiment_from_dict(base_config(L=l_max, replications=replications))
+        threads_before = threading.active_count()
+        message = {"worker_raises": "raised in a worker thread", "caller_raises": "raised in the caller"}
+        with deadline(30), pytest.raises(LookupError, match=message[failure]):
+            run_experiment(cfg, threads=2)
+        assert waited == [True]
+        assert threading.active_count() == threads_before
+        if failure == "caller_raises":
+            # without the stop it would run every replication but one
+            assert len(worker_calls) < 5 < replications
+
+    @needs_fork
     def test_fork_cut_is_work_per_worker(self, monkeypatch):
-        # two workers fork once each gets _FORK_MIN_WORK band terms
-        # (replications x l_max), and one replication less runs serially
+        # two workers start once each gets _WORKER_MIN_WORK band terms
+        # (replications x l_max), and one replication less runs in this
+        # process alone; below _THREAD_MIN_L_MAX the second is a child
+        started = count_workers(monkeypatch)
         monkeypatch.setattr(montecarlo, "_estimate", pid_estimate)
-        reps = 2 * _FORK_MIN_WORK // 500
-        for replications, workers in ((reps - 1, 1), (reps, 2)):
+        reps = 2 * _WORKER_MIN_WORK // 500
+        for replications, forks in ((reps - 1, 0), (reps, 1)):
             config = base_config(L=500, replications=replications, box=PID_BOX)
             cfg, _ = experiment_from_dict(config)
-            pids = set(run_experiment(cfg, threads=2).all_alpha_hats)
-            assert os.getpid() in pids
-            assert len(pids) == workers
+            started.update(fork=0, thread=0)
+            run_experiment(cfg, threads=2)
+            assert started == {"fork": forks, "thread": 0}
+
+    @needs_fork
+    def test_workers_are_threads_from_the_cut(self, monkeypatch):
+        # the second worker is a thread from l_max = _THREAD_MIN_L_MAX up and
+        # a forked child below it
+        started = count_workers(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_estimate", pid_estimate)
+        cut = montecarlo._THREAD_MIN_L_MAX
+        for l_max, kind in ((cut - 1, "fork"), (cut, "thread")):
+            replications = -(-2 * _WORKER_MIN_WORK // l_max)
+            cfg, _ = experiment_from_dict(
+                base_config(L=l_max, replications=replications, box=PID_BOX)
+            )
+            started.update(fork=0, thread=0)
+            run_experiment(cfg, threads=2)
+            assert started == {"fork": 0, "thread": 0, kind: 1}
+
+    @needs_fork
+    @pytest.mark.parametrize("kind", ["fork", "thread"])
+    def test_slow_worker_takes_fewer_chunks(self, monkeypatch, kind):
+        # the worker that is not the caller sleeps before each replication:
+        # it takes fewer chunks than the caller, and the report is the
+        # serial run's, byte for byte
+        l_max = 500 if kind == "fork" else montecarlo._THREAD_MIN_L_MAX
+        replications = -(-2 * _WORKER_MIN_WORK // l_max)
+        cfg, resolved = experiment_from_dict(base_config(L=l_max, replications=replications))
+        serial = json.dumps(report_to_dict(run_experiment(cfg, threads=1), resolved))
+        caller, caller_calls = (os.getpid(), threading.get_ident()), []
+
+        def slowed_estimate(*args):
+            if (os.getpid(), threading.get_ident()) == caller:
+                caller_calls.append(None)
+            else:
+                time.sleep(0.005)
+            return _estimate(*args)
+
+        started = count_workers(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_estimate", slowed_estimate)
+        with deadline(60):
+            report = run_experiment(cfg, threads=2)
+        assert started[kind] == 1
+        assert len(caller_calls) > replications - len(caller_calls)
+        assert json.dumps(report_to_dict(report, resolved)) == serial
+
+    @pytest.mark.parametrize("start", ["_threaded", "_forked"])
+    @pytest.mark.parametrize("replications", [1000, 5000])
+    def test_chunks_go_to_one_worker_each(self, start, replications):
+        # more workers than CPUs, and threads switching every microsecond,
+        # take every chunk once; 5000 replications need chunks of 5, as
+        # 1024 tokens fill the pipe
+        chunks = montecarlo._Chunks(replications, 20000)
+
+        def take():
+            return [i for indices in chunks for i in indices]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with deadline(60):
+                parts = getattr(montecarlo, start)(take, 4)
+        finally:
+            sys.setswitchinterval(interval)
+            chunks.close()
+        assert len(parts) == 4
+        assert sorted(i for part in parts for i in part) == list(range(replications))
 
     def test_serial_off_linux(self, monkeypatch, tmp_path):
         # elsewhere than Linux a run that would fork is serial, with the
         # same bytes
         cfg, resolved = experiment_from_dict(
-            base_config(L=500, replications=2 * _FORK_MIN_WORK // 500)
+            base_config(L=500, replications=2 * _WORKER_MIN_WORK // 500)
         )
         linux = write_report_files(run_experiment(cfg, threads=2), resolved, tmp_path / "linux")
         monkeypatch.setattr(sys, "platform", "darwin")
@@ -444,7 +585,7 @@ class TestRunExperiment:
         assert [p.read_bytes() for p in other] == [p.read_bytes() for p in linux]
         monkeypatch.setattr(montecarlo, "_estimate", pid_estimate)
         cfg, _ = experiment_from_dict(
-            base_config(L=500, replications=2 * _FORK_MIN_WORK // 500, box=PID_BOX)
+            base_config(L=500, replications=2 * _WORKER_MIN_WORK // 500, box=PID_BOX)
         )
         assert set(run_experiment(cfg, threads=2).all_alpha_hats) == {os.getpid()}
 
@@ -667,7 +808,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.replic
 @pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
 @pytest.mark.parametrize("order", ["as_is", "band_arrays_first"])
 def test_replications_take_no_page_faults(order):
-    # each range draws and estimates in buffers it allocates once: a
+    # each worker draws and estimates in buffers it allocates once: a
     # replication that allocated its own 160 kB arrays took 85-86 faults
     # whenever the band arrays were built before the model spectrum, as the
     # heap top was trimmed and regrown around them

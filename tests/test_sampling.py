@@ -17,7 +17,13 @@ from sphwhittle import (
     spectrum_values,
     write_spectrum_csv,
 )
-from sphwhittle.sampling import _SEED_BLOCK, _stream_generators, _stream_words, generator
+from sphwhittle.sampling import (
+    _SEED_BLOCK,
+    _stream_generator,
+    _stream_seeds,
+    _stream_words,
+    generator,
+)
 
 MODEL = ExactPowerLaw(2.0, 3.0)
 
@@ -133,13 +139,12 @@ class TestBlockSeeding:
                 assert np.array_equal(row, self.reference(master, stream))
 
     def test_generators_match_generator(self):
-        # two blocks and a range that does not start at 0
-        indices = range(3, _SEED_BLOCK + 5)
-        rngs = list(_stream_generators(7, indices))
-        assert len(rngs) == len(indices)
-        for i in (0, 1, _SEED_BLOCK - 4, _SEED_BLOCK - 3, len(indices) - 1):
-            expected = generator(SeedSpec(7, indices[i])).chisquare(np.arange(3.0, 40.0))
-            assert np.array_equal(rngs[i].chisquare(np.arange(3.0, 40.0)), expected)
+        # two blocks, the second partial
+        seeds = _stream_seeds(7, _SEED_BLOCK + 5)
+        assert seeds.shape == (_SEED_BLOCK + 5, 4)
+        for i in (0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 4):
+            expected = generator(SeedSpec(7, i)).chisquare(np.arange(3.0, 40.0))
+            assert np.array_equal(_stream_generator(seeds[i]).chisquare(np.arange(3.0, 40.0)), expected)
 
 
 class TestSampleEmpirical:

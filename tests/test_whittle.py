@@ -402,12 +402,15 @@ class TestEstimate:
 
     def test_search_stops_at_evaluation_cap(self, monkeypatch):
         # a debiased band's probe pass is its first; with a cap of 1 the
-        # search returns the point it would evaluate next, unconverged
+        # search returns the point that pass evaluated, the box midpoint,
+        # unconverged, and alpha_hat, g_hat and objective describe it
         monkeypatch.setattr(whittle, "_MAX_EVALS", 1)
         box = SearchBox()
-        result = estimate(mc_noise_spectrum(0), box=box)
+        spectrum = mc_noise_spectrum(0)
+        result = estimate(spectrum, box=box)
         assert (result.converged, result.evaluations) == (False, 1)
-        assert box.alpha_min <= result.alpha_hat <= box.alpha_max
+        assert result.alpha_hat == 0.5 * (box.alpha_min + box.alpha_max)
+        assert objective(spectrum, result.alpha_hat) == pytest.approx(result.objective, abs=1e-12)
 
     def test_boundary_snap_at_lower_edge(self):
         spec = exact_spectrum(2.0, 3.0, 500)
