@@ -2,8 +2,9 @@
 
 run_experiment executes the replications: replication i draws a spectrum
 from the stream SeedSpec(master_seed, i) and estimates the index over the
-configured band.  The model spectrum (and noise spectrum) is computed once
-per run; only the chi-square draw is per replication.  The streams are
+configured band.  The model spectrum (and noise spectrum) and the
+chi-square half degrees are computed once per run, before any worker
+starts; only the chi-square draw is per replication.  The streams are
 seeded in blocks, bit-identical to sampling.generator for each SeedSpec.
 
 assemble turns the estimates and their statuses into the report, and is
@@ -104,6 +105,13 @@ _CHUNK_WORK = 20_000
 _TOKEN = 4
 _MAX_CHUNKS = 4096 // _TOKEN
 
+# A run holds ~250 bytes per replication at its peak: its stream seeds, its
+# outcomes and the report and files built from them (tracemalloc, a serial
+# run plus write_report_files at L = 60 and 2e4 or 1e5 replications), so
+# this bound caps a run near 2.5 GB; a larger one would end in a memory
+# error from numpy or a run that takes the machine's memory.
+MAX_REPLICATIONS = 10**7
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -120,8 +128,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_l_max(self.l_max)
-        if self.replications < 2:
-            raise ValueError("replications must be >= 2")
+        if not 2 <= self.replications <= MAX_REPLICATIONS:
+            raise ValueError(
+                f"replications must be >= 2 and <= {MAX_REPLICATIONS}, got {self.replications}"
+            )
         SeedSpec(self.master_seed)
         object.__setattr__(self, "alpha0", self.scheme.alpha0())
         object.__setattr__(self, "factor", normalization_factor(self.scheme))
@@ -299,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
-    c, c_n = _design(cfg.model, cfg.noise, cfg.l_max)
+    c, c_n, half_df = _design(cfg.model, cfg.noise, cfg.l_max)
     seeds = _stream_seeds(cfg.master_seed, cfg.replications)
 
     def replicate(chunks: _Chunks) -> list[tuple[int, float, str]]:
@@ -313,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
                 for indices in chunks:
                     for i in indices:
                         try:
-                            draw = _draw(c, c_n, _stream_generator(seeds[i]), x)
+                            draw = _draw(c, c_n, half_df, _stream_generator(seeds[i]), x)
                             values = _checked(draw, c_n is not None)
                             alpha = _estimate(values, cfg.band, cfg.box, work)[0]
                         except NumericalError:

@@ -15,7 +15,6 @@ generators bit-identical to generator()'s (_stream_generator).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,34 +185,31 @@ def _stream_generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
-@functools.lru_cache(maxsize=8)
-def _chisq_df(l_max: int) -> np.ndarray:
-    # half the degrees of freedom, l + 1/2 for l = 1..l_max, shared read-only
-    half_df = np.arange(1, l_max + 1, dtype=float) + 0.5
-    half_df.setflags(write=False)
-    return half_df
-
-
 def _design(model: SpectrumModel, noise: NoiseModel | None, l_max: int) -> tuple:
-    """_draw's (c, c_n): C_l and None, or, with noise, C_T + C_N and C_N.  A
-    sum that overflows is inf, and so is every value drawn from it."""
+    """_draw's (c, c_n, half_df): C_l and None, or, with noise, C_T + C_N and
+    C_N; then half the chi-square degrees, l + 1/2 for l = 1..l_max.  A sum
+    that overflows is inf, and so is every value drawn from it."""
     c = spectrum_values(model, l_max)
+    half_df = np.arange(1, l_max + 1, dtype=float) + 0.5
     if noise is None:
-        return c, None
+        return c, None, half_df
     c_n = noise_values(noise, l_max)
     with np.errstate(over="ignore"):
-        return c + c_n, c_n
+        return c + c_n, c_n, half_df
 
 
 def _draw(
-    c: np.ndarray, c_n: np.ndarray | None, rng: np.random.Generator, out: np.ndarray
+    c: np.ndarray,
+    c_n: np.ndarray | None,
+    half_df: np.ndarray,
+    rng: np.random.Generator,
+    out: np.ndarray,
 ) -> np.ndarray:
     """c_l X_l / (2l+1) with X_l ~ chi2(2l+1) (numpy's 2 Gamma(l + 1/2), so
-    Gamma(l + 1/2) / (l + 1/2) bit for bit), minus c_n when it is given (a
-    debiased draw, with c = C_T + C_N), formed in out.  An overflow is inf,
-    which _checked reports as NonFiniteValue; the caller silences numpy's
-    warning."""
-    half_df = _chisq_df(c.size)
+    Gamma(half_df) / half_df bit for bit), minus c_n when it is given (a
+    debiased draw, with c = C_T + C_N), formed in out; c, c_n and half_df
+    are _design's.  An overflow is inf, which _checked reports as
+    NonFiniteValue; the caller silences numpy's warning."""
     rng.standard_gamma(half_df, out=out)
     out /= half_df
     out *= c
@@ -224,9 +220,9 @@ def _draw(
 
 def sample_empirical(model: SpectrumModel, l_max: int, seed: SeedSpec) -> EmpiricalSpectrum:
     """Draw C_hat_l = C_l * chi2(2l+1)/(2l+1) for l = 1..l_max."""
-    c, _ = _design(model, None, l_max)
+    c, _, half_df = _design(model, None, l_max)
     with np.errstate(over="ignore"):
-        return EmpiricalSpectrum(_draw(c, None, generator(seed), np.empty(l_max)))
+        return EmpiricalSpectrum(_draw(c, None, half_df, generator(seed), np.empty(l_max)))
 
 
 def sample_observed_debiased(
@@ -237,6 +233,7 @@ def sample_observed_debiased(
     Negative values are retained: they signal multipoles where the noise
     dominates and are meaningful to the estimator's failure diagnostics.
     """
-    c, c_n = _design(model, noise, l_max)
+    c, c_n, half_df = _design(model, noise, l_max)
     with np.errstate(over="ignore"):
-        return EmpiricalSpectrum(_draw(c, c_n, generator(seed), np.empty(l_max)), debiased=True)
+        draw = _draw(c, c_n, half_df, generator(seed), np.empty(l_max))
+        return EmpiricalSpectrum(draw, debiased=True)

@@ -13,7 +13,6 @@ multipoles, and its large-l parameters; the module functions call them.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -37,10 +36,6 @@ __all__ = [
 # A run holds several float arrays of L entries (0.8 GB each at this bound);
 # a larger L would end in a memory or size error from np.arange
 MAX_L = 10**8
-
-# spectrum_values keeps the values of its last 8 (model, L) pairs with L up
-# to this bound: at most 8 arrays of 0.8 MB.  Larger L is computed per call.
-_CACHED_MAX_L = 10**5
 
 # construction-time positivity horizon for Rational; evaluators re-check
 # every requested range, so this only needs to catch obvious sign changes
@@ -198,17 +193,6 @@ class NoiseModel:
         return self.g_n * _powers(l, -self.gamma)
 
 
-def _evaluate(model: SpectrumModel | NoiseModel, l: np.ndarray) -> np.ndarray:
-    # a value that under- or overflows a float (or is nan) is outside the
-    # model's range: the check below reports it, so numpy need not warn
-    with np.errstate(all="ignore"):
-        c = model.values_at(l)
-    # min and max propagate nan, which fails both comparisons
-    if not (c.min() > 0 and c.max() < np.inf):
-        raise OutOfRange(f"C_l is not a positive finite float for some l <= {int(l[-1])}")
-    return c
-
-
 def check_l_max(l_max: int) -> None:
     """Raise ValueError unless 1 <= l_max <= MAX_L; allocates nothing."""
     if not 1 <= l_max <= MAX_L:
@@ -218,25 +202,20 @@ def check_l_max(l_max: int) -> None:
 def spectrum_values(model: SpectrumModel, l_max: int) -> np.ndarray:
     """Return C_l for l = 1..l_max as a read-only float array.
 
-    Repeated calls for the same model and l_max <= 10**5 share one array.
     Raises OutOfRange if a Tabulated model is shorter than l_max, or if some
     C_l is not a positive finite float, and ValueError unless 1 <= l_max <=
     MAX_L.
     """
     check_l_max(l_max)
-    if l_max <= _CACHED_MAX_L:
-        return _cached_values(model, l_max)
-    return _values(model, l_max)
-
-
-def _values(model: SpectrumModel | NoiseModel, l_max: int) -> np.ndarray:
-    c = _evaluate(model, np.arange(1, l_max + 1, dtype=float))
+    # a value that under- or overflows a float (or is nan) is outside the
+    # model's range: the check below reports it, so numpy need not warn
+    with np.errstate(all="ignore"):
+        c = model.values_at(np.arange(1, l_max + 1, dtype=float))
+    # min and max propagate nan, which fails both comparisons
+    if not (c.min() > 0 and c.max() < np.inf):
+        raise OutOfRange(f"C_l is not a positive finite float for some l <= {l_max}")
     c.setflags(write=False)
     return c
-
-
-# models are frozen dataclasses, so each is its own key
-_cached_values = functools.lru_cache(maxsize=8)(_values)
 
 
 def noise_values(noise: NoiseModel, l_max: int) -> np.ndarray:

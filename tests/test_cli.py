@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sphwhittle
 from sphwhittle import read_spectrum_csv
 from sphwhittle.cli import main
-from sphwhittle.montecarlo import _WORKER_MIN_WORK
+from sphwhittle.montecarlo import MAX_REPLICATIONS, _WORKER_MIN_WORK
 
 
 def write_config(path, payload) -> str:
@@ -299,6 +299,20 @@ class TestMc:
         cfg = write_config(tmp_path / "mc.json", mc_config(**overrides))
         assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 1
         assert capsys.readouterr().err == f"error: band {band} cannot identify alpha\n"
+
+    @pytest.mark.parametrize("replications", [1e15, MAX_REPLICATIONS + 1], ids=["1e15", "bound"])
+    def test_too_many_replications_exit_one_before_allocating(
+        self, tmp_path, capsys, monkeypatch, replications
+    ):
+        # a run too large to hold is a config error, refused before the
+        # stream seeds of every replication are allocated
+        def no_seeds(*args):
+            raise AssertionError("stream seeds were allocated")
+
+        monkeypatch.setattr(sphwhittle.montecarlo, "_stream_seeds", no_seeds)
+        cfg = write_config(tmp_path / "mc.json", mc_config(replications=replications))
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "f")]) == 1
+        assert f"replications must be >= 2 and <= {MAX_REPLICATIONS}" in capsys.readouterr().err
 
 
 # Runs in a fresh interpreter: each argv of the JSON list in sys.argv[1]

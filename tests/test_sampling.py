@@ -11,6 +11,7 @@ from sphwhittle import (
     NoiseModel,
     NonFiniteValue,
     SeedSpec,
+    noise_values,
     read_spectrum_csv,
     sample_empirical,
     sample_observed_debiased,
@@ -19,6 +20,7 @@ from sphwhittle import (
 )
 from sphwhittle.sampling import (
     _SEED_BLOCK,
+    _design,
     _stream_generator,
     _stream_seeds,
     _stream_words,
@@ -250,6 +252,21 @@ class TestSampleObservedDebiased:
     def test_debiased_variance_ratio(self):
         assert debiased_variance_ratio(50, 1.0) == pytest.approx(2 / 101, rel=1e-15)
         assert debiased_variance_ratio(1, 2.0, 2.0) == pytest.approx(8 / 3, rel=1e-15)
+
+
+class TestDesign:
+    def test_arrays_of_a_run(self):
+        # what run_experiment hands its workers, and the public samplers
+        # draw from: C_l (C_T + C_N with noise), C_N, and l + 1/2
+        noise = NoiseModel(1.0, 2.5)
+        half_df = (np.arange(1, 501) + 0.5).tobytes()
+        c, c_n, half = _design(MODEL, None, 500)
+        assert c.tobytes() == spectrum_values(MODEL, 500).tobytes()
+        assert c_n is None and half.tobytes() == half_df
+        c, c_n, half = _design(MODEL, noise, 500)
+        assert c_n.tobytes() == noise_values(noise, 500).tobytes()
+        assert c.tobytes() == (spectrum_values(MODEL, 500) + c_n).tobytes()
+        assert half.tobytes() == half_df
 
 
 class TestCsv:
