@@ -59,7 +59,9 @@ def z_limit_fullband(s: float) -> float:
 
 
 def z_narrowband(l_max: int, g: float, s: float) -> float:
-    """Z over the band l = ceil(1 + L(1-g)) .. L for fraction g in (0, 1).
+    """Z over the band l = ceil(1 + L(1-g)) .. L for fraction g in (0, 1),
+    which holds floor(L g) multipoles, one fewer than whittle.narrow_band's
+    (at L = 1000 and g = 1/log L they start at 857 and 856).
 
     With t = 1 - l/L in [0, g], A0 ~ 2 L^(2+s) g (1 - (1+s) g/2), and log l
     = log L - t - t^2/2 - ... has weighted variance (g^2/12)(1 + g) + O(g^4),

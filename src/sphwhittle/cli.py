@@ -4,7 +4,7 @@ Artifacts are deterministic: JSON and CSV floats use shortest round-trip
 decimals and line endings are "\\n", and they do not depend on --threads.
 mc runs its replications on up to --threads workers (default and most: one
 per usable CPU); sphwhittle.montecarlo says when they are forked processes.
-Exit codes: 0 success, 1 config error, 2 numerical failure.
+Exit codes: 0 success, 1 config error or no memory, 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -199,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (SphwhittleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -150,8 +150,9 @@ def full_band(l_max: int) -> Band:
 def narrow_band(l_max: int, c_g: float = 1.0) -> Band:
     """High-multipole band with shrinking fraction g = c_g / ln(l_max).
 
-    Returns [max(1, ceil(l_max (1-g))), l_max]; raises BandTooNarrow below
-    3 multipoles.
+    Returns [max(1, ceil(l_max (1-g))), l_max], which holds floor(l_max g) + 1
+    multipoles, one more than asymptotics.z_narrowband's band; raises
+    BandTooNarrow below 3 multipoles.
     """
     if l_max < 3:
         raise ValueError("l_max must be >= 3")
@@ -167,62 +168,53 @@ def narrow_band(l_max: int, c_g: float = 1.0) -> Band:
 
 @dataclass(frozen=True)
 class _BandArrays:
-    """Spectrum-free band quantities; the arrays are read-only and shared."""
+    """Spectrum-free band quantities; the arrays are read-only."""
 
-    w: np.ndarray
     # log l - log l_hi <= 0: each tilt exp(alpha (log l - log l_hi)) lies in
     # (0, 1] for alpha >= 0, so the scaled band sums cannot overflow
     log_s: np.ndarray
     log_hi: float
     w_sum: float
     wbar: float
-    # rows c^k, k = 0..4, with c = log l - wbar: one einsum with the tilt
-    # gives W Ghat and the moments behind the score, the curvature and the
-    # next two cumulants, free of the cancellation in Ghat_1/Ghat - wbar
+    # rows w c^k, k = 0..4, with w = 2l+1 and c = log l - wbar: one einsum
+    # with the tilted values gives W Ghat and the moments behind the score and
+    # the next three cumulants, free of the cancellation in Ghat_1/Ghat - wbar;
+    # row 1 weights the OLS slope, whose denominator S = sum w c^2 is ols_den
     basis: np.ndarray
-    # the weighted-OLS slope of y on log l is sum(ols_weights * y) / ols_den
-    ols_weights: np.ndarray
     ols_den: float
 
 
 # The band reductions use np.einsum without optimize, which runs numpy's own
 # single-threaded loops.  A BLAS dot product splits long vectors across BLAS
 # threads, so its rounding, and alpha_hat with it, would depend on their count.
-@functools.lru_cache(maxsize=32)
+# Each cache holds the band (and box) in use: a run reads one of each.
+@functools.lru_cache(maxsize=1)
 def _band_arrays(l_lo: int, l_hi: int) -> _BandArrays:
     l = np.arange(l_lo, l_hi + 1, dtype=float)
-    w = 2.0 * l + 1.0
-    log_l = np.log(l)
+    basis = np.empty((5, l.size))
+    w = np.add(2.0 * l, 1.0, out=basis[0])
+    log_l = np.log(l, out=l)
     w_sum = float(w.sum())
     wbar = float((w * log_l).sum() / w_sum)
     log_c = log_l - wbar
-    basis = np.stack([log_c**k for k in range(5)])
-    log_s = log_l - log_l[-1]
-    ols_weights = w * log_c
-    for a in (w, log_s, basis, ols_weights):
+    for k in range(1, 5):
+        np.multiply(basis[k - 1], log_c, out=basis[k])
+    log_hi = float(log_l[-1])
+    log_s = np.subtract(log_l, log_hi, out=log_l)
+    for a in (log_s, basis):
         a.setflags(write=False)
-    return _BandArrays(
-        w=w,
-        log_s=log_s,
-        log_hi=float(log_l[-1]),
-        w_sum=w_sum,
-        wbar=wbar,
-        basis=basis,
-        ols_weights=ols_weights,
-        ols_den=float(np.einsum("i,i", w, basis[2])),
-    )
+    return _BandArrays(log_s, log_hi, w_sum, wbar, basis, float(basis[2].sum()))
 
 
-# Rows 0 and 1 are exp(a (log l - log l_hi)) at alpha_min and alpha_max and
+# Rows 0 and 1 are w exp(a (log l - log l_hi)) at alpha_min and alpha_max and
 # rows 2..6 that tilt at the midpoint times basis, so one einsum with the
-# weighted values gives W Ghat at the edges and every moment at the
-# midpoint.  The 7 rows take 0.11 MB at L = 2000.
-@functools.lru_cache(maxsize=8)
+# scaled values gives W Ghat at the edges and every moment at the midpoint.
+# The 7 rows take 0.11 MB at L = 2000.
+@functools.lru_cache(maxsize=1)
 def _probe_rows(l_lo: int, l_hi: int, a_min: float, a_max: float) -> np.ndarray:
     arrays = _band_arrays(l_lo, l_hi)
-    mid = 0.5 * (a_min + a_max)
-    edges = np.exp(np.multiply.outer((a_min, a_max), arrays.log_s))
-    rows = np.concatenate([edges, np.exp(mid * arrays.log_s) * arrays.basis])
+    tilts = np.exp(np.multiply.outer((a_min, a_max, 0.5 * (a_min + a_max)), arrays.log_s))
+    rows = np.concatenate([tilts[:2] * arrays.basis[0], tilts[2] * arrays.basis])
     rows.setflags(write=False)
     return rows
 
@@ -241,31 +233,28 @@ def _check_amplitude(g: float, alpha: float) -> float:
 
 
 class _BandData:
-    """Per-(spectrum, band) data; the band arrays are cached per band.
+    """Per-(spectrum, band) data over the band's cached arrays.
 
     The band sums run on the values divided by 2^e, the power of two just
     above max |Chat_l| (an exact division), and on the tilt shifted by
     l_hi^-alpha, so every term is below w_l in size.  A scaled amplitude
     g_s = Ghat(alpha) / (2^e l_hi^alpha) is scaled back only where Ghat
     itself is wanted, so only a Ghat that is out of range overflows.  The
-    band fits the values, and the caller's (2, band width) work block takes wc and a scratch row.
+    band fits the values, and the caller's (2, band width) work block takes
+    the scaled values and a scratch row.
     """
 
     def __init__(self, values: np.ndarray, band: Band, work: np.ndarray) -> None:
         self.band = band
         self.arrays = _band_arrays(band.l_lo, band.l_hi)
-        self.log_s = self.arrays.log_s
-        self.w_sum = self.arrays.w_sum
-        self.wbar = self.arrays.wbar
         self.values = values[band.l_lo - 1 : band.l_hi]
         v_min, v_max = float(self.values.min()), float(self.values.max())
         self.positive = v_min > 0
         # frexp(0) = (0, 0): an all-zero band keeps its zeros
         exponent = math.frexp(max(v_max, -v_min))[1]
         self.log_m = exponent * math.log(2.0)
-        self.wc, self.scratch = work
-        np.ldexp(self.values, -exponent, out=self.wc)
-        self.wc *= self.arrays.w
+        self.scaled, self.scratch = work
+        np.ldexp(self.values, -exponent, out=self.scaled)
 
     def amplitude(self, alpha: float, g_s: float, log_step: float = 0.0) -> float:
         """Ghat(alpha) exp(log_step) from g_s, checked finite and > 0."""
@@ -282,20 +271,21 @@ class _BandData:
         """(g_s, score, curvature, kappa3, kappa4) from W g_s and the four
         centered moments: g_s and the tilted cumulants of log l - wbar."""
         if not g0 > 0:
-            self.amplitude(alpha, g0 / self.w_sum)  # raises NonPositiveAmplitude
+            self.amplitude(alpha, g0 / self.arrays.w_sum)  # raises NonPositiveAmplitude
         s, e2, e3, e4 = (v / g0 for v in m)
         q = e2 - s * s
         k3 = e3 - 3.0 * s * e2 + 2.0 * s**3
         k4 = e4 - 4.0 * s * e3 + 6.0 * s * s * e2 - 3.0 * s**4 - 3.0 * q * q
-        return g0 / self.w_sum, s, q, k3, k4
+        return g0 / self.arrays.w_sum, s, q, k3, k4
 
     def centered_moments(self, alpha: float) -> tuple[float, ...]:
         """moments at alpha, from one pass over the band: the only way the
         package computes Ghat and its derivatives; raises if Ghat(alpha) <= 0."""
-        # wc * exp(alpha (log l - log l_hi)), formed in the scratch row
-        tilt = np.multiply(self.log_s, alpha, out=self.scratch)
+        # the scaled values times exp(alpha (log l - log l_hi)), formed in
+        # the scratch row
+        tilt = np.multiply(self.arrays.log_s, alpha, out=self.scratch)
         np.exp(tilt, out=tilt)
-        tilt *= self.wc
+        tilt *= self.scaled
         return self.moments(alpha, *np.einsum("ji,i->j", self.arrays.basis, tilt).tolist())
 
     def probe_moments(self, box: SearchBox) -> tuple[float, ...]:
@@ -304,10 +294,10 @@ class _BandData:
         the order alpha_min, alpha_max, midpoint."""
         a1, a2 = box.alpha_min, box.alpha_max
         rows = _probe_rows(self.band.l_lo, self.band.l_hi, a1, a2)
-        g1, g2, *sums = np.einsum("ji,i->j", rows, self.wc).tolist()
+        g1, g2, *sums = np.einsum("ji,i->j", rows, self.scaled).tolist()
         for alpha, g0 in ((a1, g1), (a2, g2)):
             if not g0 > 0:
-                self.amplitude(alpha, g0 / self.w_sum)  # raises NonPositiveAmplitude
+                self.amplitude(alpha, g0 / self.arrays.w_sum)  # raises NonPositiveAmplitude
         return self.moments(0.5 * (a1 + a2), *sums)
 
 
@@ -334,7 +324,7 @@ def objective(
     with _quiet():
         data = _BandData(spectrum.values, band, np.empty((2, band.width)))
         g_s = data.centered_moments(alpha)[0]
-        return math.log(data.amplitude(alpha, g_s)) - alpha * data.wbar
+        return math.log(data.amplitude(alpha, g_s)) - alpha * data.arrays.wbar
 
 
 def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) -> tuple:
@@ -367,7 +357,7 @@ def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) 
     if data.positive:
         arrays = data.arrays
         log_values = np.log(data.values, out=data.scratch)
-        slope = float(np.einsum("i,i", arrays.ols_weights, log_values)) / arrays.ols_den
+        slope = float(np.einsum("i,i", arrays.basis[1], log_values)) / arrays.ols_den
         x = min(max(-slope, a1), a2)
         probe = None
         evals = 0
@@ -425,7 +415,7 @@ def _estimate(values: np.ndarray, band: Band, box: SearchBox, work: np.ndarray) 
             # d log g_s / d alpha is the tilted mean of log l - log l_hi,
             # s + wbar - log l_hi; the higher derivatives are q, k3, k4
             d = proposed - x
-            log_step = d * (s + data.wbar - data.arrays.log_hi) + d * d * (
+            log_step = d * (s + data.arrays.wbar - data.arrays.log_hi) + d * d * (
                 q / 2.0 + d * (k3 / 6.0 + d * k4 / 24.0)
             )
             return proposed, data.amplitude(proposed, g0, log_step), evals, True
@@ -532,7 +522,7 @@ def normalization_factor(scheme: NormalizationScheme) -> float:
     """
     l_lo, l_hi = scheme.band.l_lo, scheme.band.l_hi
     arrays = _band_arrays(l_lo, l_hi)
-    # S = sum w_l c_l^2; ols_weights are w_l c_l
+    # S = sum w_l c_l^2, and basis rows 1 and 2 are w_l c_l and w_l c_l^2
     s = arrays.ols_den
     if scheme.tag == "noise":
         scheme.alpha0()  # UnsupportedRegime when alpha0 - gamma >= 1
@@ -540,15 +530,15 @@ def normalization_factor(scheme: NormalizationScheme) -> float:
     with np.errstate(all="ignore"):
         if scheme.tag == "rate":
             inverse_l = np.reciprocal(np.arange(l_lo, l_hi + 1, dtype=float))
-            factor = float(s / -np.einsum("i,i", arrays.ols_weights, inverse_l))
+            factor = float(s / -np.einsum("i,i", arrays.basis[1], inverse_l))
         else:
-            weights = arrays.w
+            # sum w_l (1 + r_l)^2 c_l^2, which is S without noise
+            v_sum = s
             if scheme.noise is not None:
                 c = spectrum_values(scheme.model, l_hi)[l_lo - 1 :]
                 r = noise_values(scheme.noise, l_hi)[l_lo - 1 :] / c
-                weights = weights * (1.0 + r) ** 2
-            v_band = 2.0 * np.einsum("i,i", weights, arrays.basis[2]) / s / s
-            factor = float(v_band**-0.5)
+                v_sum = np.einsum("i,i", (1.0 + r) ** 2, arrays.basis[2])
+            factor = float((2.0 * v_sum / s / s) ** -0.5)
     if not (math.isfinite(factor) and factor > 0):
         raise NonFiniteValue(f"{scheme.tag} normalization factor is {factor}")
     return factor

@@ -315,6 +315,37 @@ class TestMc:
         assert f"replications must be >= 2 and <= {MAX_REPLICATIONS}" in capsys.readouterr().err
 
 
+# the first allocation of length L or R in each command, patched to fail as
+# numpy's _ArrayMemoryError does, so the tests allocate nothing
+_OUT_OF_MEMORY = "Unable to allocate 763. MiB for an array with shape (100000000,)"
+
+
+def _no_memory(*args):
+    raise MemoryError(_OUT_OF_MEMORY)
+
+
+_SIMULATE = {"model": mc_config()["model"], "L": 150}
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, module, name",
+    [
+        ("mc", mc_config(), sphwhittle.whittle, "_band_arrays"),
+        ("mc", mc_config(), sphwhittle.montecarlo, "_stream_seeds"),
+        ("simulate", dict(_SIMULATE, seed=1), sphwhittle.sampling, "_design"),
+        ("simulate", dict(_SIMULATE, exact=True), sphwhittle.cli, "spectrum_values"),
+    ],
+    ids=["mc_band", "mc_seeds", "simulate_draw", "simulate_exact"],
+)
+def test_run_that_cannot_allocate_exits_one(
+    tmp_path, capsys, monkeypatch, subcommand, config, module, name
+):
+    monkeypatch.setattr(module, name, _no_memory)
+    cfg = write_config(tmp_path / "config.json", config)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {_OUT_OF_MEMORY}\n"
+
+
 # Runs in a fresh interpreter: each argv of the JSON list in sys.argv[1]
 # through cli.main, with every import of scipy refused.
 _WITHOUT_SCIPY = """

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +213,39 @@ class TestBand:
     def test_narrow_band_too_narrow(self):
         with pytest.raises(BandTooNarrow):
             narrow_band(5, 0.01)
+
+
+class TestBandArrays:
+    @pytest.mark.parametrize("band", [full_band(2000), narrow_band(2000)], ids=["full", "narrow"])
+    def test_weighted_basis_rows(self, band):
+        # the rows are w c^k with w = 2l+1 and c = log l - wbar, each built
+        # from the one before it by one product
+        arrays = whittle._band_arrays(band.l_lo, band.l_hi)
+        l = np.arange(band.l_lo, band.l_hi + 1, dtype=float)
+        assert arrays.basis.shape == (5, band.width)
+        assert np.array_equal(arrays.basis[0], 2.0 * l + 1.0)
+        for k in range(1, 5):
+            assert np.array_equal(arrays.basis[k], arrays.basis[k - 1] * (np.log(l) - arrays.wbar))
+        assert arrays.ols_den == arrays.basis[2].sum()
+        assert not (arrays.basis.flags.writeable or arrays.log_s.flags.writeable)
+
+    def test_caches_hold_the_band_in_use(self):
+        # one band's arrays (48 bytes per multipole of the full band) and one
+        # probe matrix (56) stay held after estimates on three bands in turn
+        l_max = 10**5
+        model = ExactPowerLaw(1.0, 3.0)
+        positive = sample_empirical(model, l_max, SeedSpec(3, 0))
+        debiased = sample_observed_debiased(model, NoiseModel(1.0, 2.2), l_max, SeedSpec(3, 0))
+        tracemalloc.start()
+        try:
+            for band in (narrow_band(l_max), Band(l_max // 2, l_max), full_band(l_max)):
+                for spectrum in (positive, debiased):
+                    estimate(spectrum, band)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 110 * l_max
 
 
 class TestSearchBox:
