@@ -64,7 +64,7 @@ def reading_config(what: str):
         raise
     except KeyError as exc:
         raise ConfigError(f"{what} missing key {exc}") from exc
-    except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+    except (TypeError, ValueError, ArithmeticError, AttributeError, csv.Error) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 

@@ -23,14 +23,15 @@ each takes the next chunk when it finishes one, so a worker on a slow CPU
 takes fewer.  From l_max = _THREAD_MIN_L_MAX (1.5e4) the other workers are
 threads, as numpy releases the GIL in the draw and the band passes; below
 it, where GIL hand-offs around short numpy calls cost more than a fork,
-they are children made by os.fork().  The band reductions do not call
-BLAS, each replication has its own stream, and outcomes are placed by
-index, so reports are pure functions of the config for any worker count,
-hand-out order and BLAS build.
+they are children made by os.fork().  Workers write outcomes in place, by
+replication index in shared arrays; the band reductions do not call BLAS
+and each replication has its own stream, so reports are pure functions of
+the config for any worker count, hand-out order and BLAS build.
 """
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -40,7 +41,6 @@ import traceback
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -105,12 +105,17 @@ _CHUNK_WORK = 20_000
 _TOKEN = 4
 _MAX_CHUNKS = 4096 // _TOKEN
 
-# A run holds ~250 bytes per replication at its peak: its stream seeds, its
-# outcomes and the report and files built from them (tracemalloc, a serial
-# run plus write_report_files at L = 60 and 2e4 or 1e5 replications), so
-# this bound caps a run near 2.5 GB; a larger one would end in a memory
-# error from numpy or a run that takes the machine's memory.
+# A run peaks at 90 bytes per replication in tracemalloc (its seeds and the
+# report and files built from its outcomes; a run plus write_report_files at
+# L = 60 and 1e5 replications, serial or two forked workers) plus the 9 of
+# its shared outcomes, which tracemalloc does not see, so this bound caps a
+# run near 1 GB; a larger one would end in a memory error from numpy or a
+# run that takes the machine's memory.
 MAX_REPLICATIONS = 10**7
+
+# status codes of run_experiment's outcomes; 0, as its mapping starts, is "not run"
+_OK, _BOUNDARY, _ERROR = 1, 2, 3
+_STATUSES = (None, "ok", "boundary", "error")
 
 
 @dataclass(frozen=True)
@@ -303,20 +308,25 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     joined, and every child reaped, before this returns.  Replication i
     draws from its own stream SeedSpec(master_seed, i), whose seed words
     are hashed in blocks before any worker starts, bit-identical to
-    default_rng(SeedSequence((master_seed, i))), and its outcome is placed
-    by i, so the report depends neither on threads nor on which worker ran
-    which chunk.
+    default_rng(SeedSequence((master_seed, i))), and its worker writes its
+    outcome in place, at i in arrays every worker shares, so the report
+    depends neither on threads nor on which worker ran which chunk.  A
+    replication that no worker ran raises ValueError.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
+    r = cfg.replications
     c, c_n, half_df = _design(cfg.model, cfg.noise, cfg.l_max)
-    seeds = _stream_seeds(cfg.master_seed, cfg.replications)
+    seeds = _stream_seeds(cfg.master_seed, r)
+    # alpha_hats and status codes in one anonymous mapping, shared by forks
+    shared = mmap.mmap(-1, 9 * r)
+    alphas = np.frombuffer(shared, dtype=float, count=r)
+    codes = np.frombuffer(shared, dtype=np.int8, count=r, offset=8 * r)
 
-    def replicate(chunks: _Chunks) -> list[tuple[int, float, str]]:
+    def replicate(chunks: _Chunks) -> None:
         # each replication is sample_* and estimate on the raw draw, in the
         # worker's own buffers; an overflow in the draw or in Ghat ends as a
         # typed error, so numpy's warnings are silenced once per worker
-        outcomes = []
         x, work = np.empty(cfg.l_max), np.empty((2, cfg.band.width))
         try:
             with _quiet():
@@ -327,28 +337,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
                             values = _checked(draw, c_n is not None)
                             alpha = _estimate(values, cfg.band, cfg.box, work)[0]
                         except NumericalError:
-                            outcomes.append((i, math.nan, "error"))
-                            continue
-                        status = "boundary" if _on_edge(alpha, cfg.box) else "ok"
-                        outcomes.append((i, alpha, status))
+                            alpha, code = math.nan, _ERROR
+                        else:
+                            code = _BOUNDARY if _on_edge(alpha, cfg.box) else _OK
+                        alphas[i], codes[i] = alpha, code
         except BaseException:
             chunks.stop()
             raise
-        return outcomes
 
     # workers run on Linux alone, up to the CPUs this process may use; more
     # workers than that would only add hand-offs
     cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-    work = cfg.replications * cfg.l_max
-    n = max(1, min(threads or cpus, cpus, cfg.replications, work // _WORKER_MIN_WORK))
+    n = max(1, min(threads or cpus, cpus, r, r * cfg.l_max // _WORKER_MIN_WORK))
     start = _threaded if cfg.l_max >= _THREAD_MIN_L_MAX else _forked
-    chunks = _Chunks(cfg.replications, cfg.l_max)
+    chunks = _Chunks(r, cfg.l_max)
     try:
-        parts = start(partial(replicate, chunks), n)
+        start(partial(replicate, chunks), n)
     finally:
         chunks.close()
-    _, alpha_hats, statuses = zip(*sorted(chain.from_iterable(parts)))
-    return assemble(cfg, alpha_hats, statuses)
+    if missing := r - int(np.count_nonzero(codes)):
+        raise ValueError(f"{missing} of {r} replications did not run")
+    return assemble(cfg, alphas, [_STATUSES[k] for k in codes.tolist()])
 
 
 def assemble(cfg: ExperimentConfig, alpha_hats, statuses) -> MonteCarloReport:
@@ -434,45 +443,42 @@ class _Chunks:
         os.close(self._fd)
 
 
-def _threaded(run, n: int) -> list:
-    """run() in this thread and in n - 1 other threads; their results, this
-    thread's first.  An exception raised in any of them is re-raised here,
-    with its traceback, once every thread has been joined."""
-    results: list = [None] * n
+def _threaded(run, n: int) -> None:
+    """run() in this thread and in n - 1 other threads.  An exception raised
+    in any of them is re-raised here, with its traceback, once every thread
+    has been joined."""
+    failures: list[BaseException] = []
 
-    def work(k: int) -> None:
+    def work() -> None:
         try:
-            results[k] = run()
+            run()
         except BaseException as exc:  # re-raised by the caller
-            results[k] = exc
+            failures.append(exc)
 
     started = []
     try:
         for k in range(1, n):
-            thread = threading.Thread(target=work, args=(k,), name=f"sphwhittle-worker-{k}")
+            thread = threading.Thread(target=work, name=f"sphwhittle-worker-{k}")
             thread.start()
             started.append(thread)
-        results[0] = run()
+        run()
     finally:
         for thread in started:
             thread.join()
-    for part in results:
-        if isinstance(part, BaseException):
-            raise part
-    return results
+    if failures:
+        raise failures[0]
 
 
-def _forked(run, n: int) -> list:
-    """run() in this process and in n - 1 children made by os.fork(); their
-    results, this process's first.
+def _forked(run, n: int) -> None:
+    """run() in this process and in n - 1 children made by os.fork().
 
-    A child sends its result, or the exception it raised and its formatted
-    traceback, pickled through a pipe and ends with os._exit.  An exception
+    A child that returns from run() writes nothing and ends with status 0;
+    one that raises writes the exception and its formatted traceback,
+    pickled, to a pipe.  Either way it ends with os._exit.  An exception
     from a child is re-raised here with that text as its cause (a
     _RemoteTraceback), since pickling drops the frames; a child that ends
-    without a complete report raises ChildProcessError.  Every child is
-    reaped before this returns or raises, and one still running is killed
-    first.
+    any other way raises ChildProcessError.  Every child is reaped before
+    this returns or raises, and one still running is killed first.
     """
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
@@ -494,22 +500,21 @@ def _forked(run, n: int) -> list:
                 _report(run, write_end)
             os.close(write_end)
             children[pid] = read_end
-        results = [run()]
+        run()
         for pid, read_end in list(children.items()):
             data = b"".join(iter(partial(os.read, read_end, 1 << 16), b""))
             _, status = os.waitpid(pid, 0)
             os.close(children.pop(pid))
+            if status == 0 and not data:
+                continue
             try:
-                ok, part, text = pickle.loads(data)
+                exc, text = pickle.loads(data)
             except Exception:
                 raise ChildProcessError(
                     f"replication worker {pid} ended without a complete report "
                     f"(wait status {status})"
                 ) from None
-            if not ok:
-                raise part from _RemoteTraceback(text)
-            results.append(part)
-        return results
+            raise exc from _RemoteTraceback(text)
     finally:
         for pid, read_end in children.items():
             os.close(read_end)
@@ -522,20 +527,15 @@ class _RemoteTraceback(Exception):
 
 
 def _report(run, fd: int):
-    """In a forked child: write (True, run(), None) or (False, the
-    exception it raised, its formatted traceback) to fd, pickled, and end
-    the process without running exit handlers or flushing stdio buffers
-    inherited from the parent."""
+    """In a forked child: run(), and if it raises, write the exception and
+    its formatted traceback to fd, pickled; then end the process (status 0
+    if run() returned) without running exit handlers or flushing stdio."""
     status = 1
     try:
-        # any exception, KeyboardInterrupt included, goes to the parent,
-        # which re-raises it
-        try:
-            report = (True, run(), None)
-        except BaseException as exc:
-            report = (False, exc, traceback.format_exc())
-        with open(fd, "wb") as pipe:
-            pickle.dump(report, pipe)
+        run()
         status = 0
+    except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
+        with open(fd, "wb") as pipe:
+            pickle.dump((exc, traceback.format_exc()), pipe)
     finally:
         os._exit(status)

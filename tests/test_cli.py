@@ -648,6 +648,18 @@ def test_bad_config_exits_one(tmp_path, capsys, subcommand, config, csv_text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_oversized_spectrum_csv_field_exits_one(tmp_path, capsys):
+    # the csv module refuses a field over its limit (131072 characters) with
+    # csv.Error, which is not a ValueError
+    path = tmp_path / "in.csv"
+    path.write_text("l,c_hat\n1," + "1" * 200_000 + "\n")
+    cfg = write_config(tmp_path / "cfg.json", {"input": str(path)})
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad spectrum CSV {path}: field larger than field limit")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # Property test: every config a user can write ends in exit 0, 1 or 2 with
 # no traceback and no numpy warning; stderr holds only "error: ..." lines,
 # and a nonzero exit says why there.  Each example is a valid config with up

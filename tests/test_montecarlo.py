@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import mmap
 import os
 import runpy
 import signal
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -556,22 +558,52 @@ class TestRunExperiment:
     def test_chunks_go_to_one_worker_each(self, start, replications):
         # more workers than CPUs, and threads switching every microsecond,
         # take every chunk once; 5000 replications need chunks of 5, as
-        # 1024 tokens fill the pipe
+        # 1024 tokens fill the pipe.  Each worker counts the indices it
+        # takes in one shared array, as run_experiment's workers write
+        # their outcomes
         chunks = montecarlo._Chunks(replications, 20000)
+        counts = np.frombuffer(mmap.mmap(-1, replications), dtype=np.uint8)
 
         def take():
-            return [i for indices in chunks for i in indices]
+            for indices in chunks:
+                for i in indices:
+                    counts[i] += 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with deadline(60):
-                parts = getattr(montecarlo, start)(take, 4)
+                assert getattr(montecarlo, start)(take, 4) is None
         finally:
             sys.setswitchinterval(interval)
             chunks.close()
-        assert len(parts) == 4
-        assert sorted(i for part in parts for i in part) == list(range(replications))
+        assert counts.tolist() == [1] * replications
+
+    @pytest.mark.parametrize(
+        "l_max, replications, lost",
+        [
+            (300, 100, 66),
+            (500, 2 * _WORKER_MIN_WORK // 500, 40),
+            # two worker threads: 27 replications of l_max = 15000 give each 2e5 band terms
+            (montecarlo._THREAD_MIN_L_MAX, 27, 1),
+        ],
+        ids=["serial", "fork", "threads"],
+    )
+    def test_a_chunk_not_run_raises(self, monkeypatch, l_max, replications, lost):
+        # the chunk holding replication 0 (20000 // l_max replications) is
+        # taken but never run: the run names what was lost instead of
+        # reporting on outcomes no worker wrote
+        class LosesFirstChunk(montecarlo._Chunks):
+            def __iter__(self):
+                for indices in super().__iter__():
+                    if indices.start:
+                        yield indices
+
+        monkeypatch.setattr(montecarlo, "_Chunks", LosesFirstChunk)
+        cfg, _ = experiment_from_dict(base_config(L=l_max, replications=replications))
+        message = f"^{lost} of {replications} replications did not run$"
+        with deadline(60), pytest.raises(ValueError, match=message):
+            run_experiment(cfg, threads=2)
 
     def test_serial_off_linux(self, monkeypatch, tmp_path):
         # elsewhere than Linux a run that would fork is serial, with the
@@ -824,6 +856,28 @@ def test_replications_take_no_page_faults(order):
         timeout=600,
     )
     assert float(probe.stdout) < 10
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_memory_per_replication(monkeypatch, tmp_path, threads):
+    # a run and its files peak at ~90 bytes per replication (tracemalloc):
+    # the stream seeds, the outcomes the workers write in place, and the
+    # report and files built from them; MAX_REPLICATIONS is sized from it.
+    # The replication core, whose arrays do not outlive a replication, is a
+    # stub that halves the traced run's time; its alpha_hat is a
+    # full-length float
+    def estimate_stub(values, *args):
+        return 2.5 + values[0] % 1.0, 1.0, 1, True
+
+    monkeypatch.setattr(montecarlo, "_estimate", estimate_stub)
+    cfg, resolved = experiment_from_dict(base_config(L=60, replications=10**5))
+    tracemalloc.start()
+    try:
+        write_report_files(run_experiment(cfg, threads=threads), resolved, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.replications <= 110
 
 
 class TestReportFiles:
