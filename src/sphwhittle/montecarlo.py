@@ -27,17 +27,23 @@ they are children made by os.fork().  Workers write outcomes in place, by
 replication index in shared arrays; the band reductions do not call BLAS
 and each replication has its own stream, so reports are pure functions of
 the config for any worker count, hand-out order and BLAS build.
+
+A worker fails in one way: an exception ends that worker alone, and the
+outcomes it left unwritten keep status code 0.  The caller runs those
+replications itself once every worker has ended, so a failure that recurs
+is raised there with its own frames, and one that does not, or a killed
+child, costs time but not the run.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
-import pickle
 import signal
 import sys
 import threading
-import traceback
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -301,17 +307,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
 
     threads caps the workers, which never outnumber the CPUs this process
     may use (the default) or the replications; the module docstring says
-    when they are threads and when forked processes.  An exception raised
-    in a worker is re-raised here, once the other workers stop taking
-    chunks; a forked child's traceback comes as its cause, and a child
-    that ends without reporting raises ChildProcessError.  Every thread is
-    joined, and every child reaped, before this returns.  Replication i
-    draws from its own stream SeedSpec(master_seed, i), whose seed words
-    are hashed in blocks before any worker starts, bit-identical to
+    when they are threads and when forked processes.  Replication i draws
+    from its own stream SeedSpec(master_seed, i), whose seed words are
+    hashed in blocks before any worker starts, bit-identical to
     default_rng(SeedSequence((master_seed, i))), and its worker writes its
     outcome in place, at i in arrays every worker shares, so the report
-    depends neither on threads nor on which worker ran which chunk.  A
-    replication that no worker ran raises ValueError.
+    depends neither on threads nor on which worker ran which chunk.
+
+    An exception in another worker ends that worker alone.  Once every
+    thread is joined and every child reaped, the replications no worker
+    wrote are run in the calling thread, after one RuntimeWarning that
+    counts them, so an exception that recurs is raised here with its own
+    frames.  An exception in the calling thread stops the other workers
+    taking chunks, and kills the children, before it propagates.
     """
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -323,27 +331,24 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     alphas = np.frombuffer(shared, dtype=float, count=r)
     codes = np.frombuffer(shared, dtype=np.int8, count=r, offset=8 * r)
 
-    def replicate(chunks: _Chunks) -> None:
+    def replicate(chunks) -> None:
         # each replication is sample_* and estimate on the raw draw, in the
         # worker's own buffers; an overflow in the draw or in Ghat ends as a
         # typed error, so numpy's warnings are silenced once per worker
         x, work = np.empty(cfg.l_max), np.empty((2, cfg.band.width))
-        try:
-            with _quiet():
-                for indices in chunks:
-                    for i in indices:
-                        try:
-                            draw = _draw(c, c_n, half_df, _stream_generator(seeds[i]), x)
-                            values = _checked(draw, c_n is not None)
-                            alpha = _estimate(values, cfg.band, cfg.box, work)[0]
-                        except NumericalError:
-                            alpha, code = math.nan, _ERROR
-                        else:
-                            code = _BOUNDARY if _on_edge(alpha, cfg.box) else _OK
-                        alphas[i], codes[i] = alpha, code
-        except BaseException:
-            chunks.stop()
-            raise
+        with _quiet():
+            for indices in chunks:
+                for i in indices:
+                    try:
+                        draw = _draw(c, c_n, half_df, _stream_generator(seeds[i]), x)
+                        values = _checked(draw, c_n is not None)
+                        alpha = _estimate(values, cfg.band, cfg.box, work)[0]
+                    except NumericalError:
+                        alpha, code = math.nan, _ERROR
+                    else:
+                        code = _BOUNDARY if _on_edge(alpha, cfg.box) else _OK
+                    # the code last: once it is not 0, alphas[i] is written
+                    alphas[i], codes[i] = alpha, code
 
     # workers run on Linux alone, up to the CPUs this process may use; more
     # workers than that would only add hand-offs
@@ -352,11 +357,22 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MonteCa
     start = _threaded if cfg.l_max >= _THREAD_MIN_L_MAX else _forked
     chunks = _Chunks(r, cfg.l_max)
     try:
-        start(partial(replicate, chunks), n)
+        with start(partial(replicate, chunks), n - 1):
+            try:
+                replicate(chunks)
+            except BaseException:
+                chunks.stop()
+                raise
     finally:
         chunks.close()
-    if missing := r - int(np.count_nonzero(codes)):
-        raise ValueError(f"{missing} of {r} replications did not run")
+    if missing := np.flatnonzero(codes == 0).tolist():
+        warnings.warn(
+            f"{len(missing)} of {r} replications were left unwritten by a worker; "
+            "running them in the calling thread",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        replicate([missing])
     return assemble(cfg, alphas, [_STATUSES[k] for k in codes.tolist()])
 
 
@@ -443,99 +459,53 @@ class _Chunks:
         os.close(self._fd)
 
 
-def _threaded(run, n: int) -> None:
-    """run() in this thread and in n - 1 other threads.  An exception raised
-    in any of them is re-raised here, with its traceback, once every thread
-    has been joined."""
-    failures: list[BaseException] = []
+@contextlib.contextmanager
+def _threaded(run, n: int) -> Iterator[None]:
+    """n threads that run() while the block runs, each joined when it ends.
+    An exception ends the thread that raised it and nothing else."""
 
     def work() -> None:
-        try:
+        with contextlib.suppress(BaseException):  # run_experiment reruns what it left
             run()
-        except BaseException as exc:  # re-raised by the caller
-            failures.append(exc)
 
     started = []
     try:
-        for k in range(1, n):
+        for k in range(1, n + 1):
             thread = threading.Thread(target=work, name=f"sphwhittle-worker-{k}")
             thread.start()
             started.append(thread)
-        run()
+        yield
     finally:
         for thread in started:
             thread.join()
-    if failures:
-        raise failures[0]
 
 
-def _forked(run, n: int) -> None:
-    """run() in this process and in n - 1 children made by os.fork().
-
-    A child that returns from run() writes nothing and ends with status 0;
-    one that raises writes the exception and its formatted traceback,
-    pickled, to a pipe.  Either way it ends with os._exit.  An exception
-    from a child is re-raised here with that text as its cause (a
-    _RemoteTraceback), since pickling drops the frames; a child that ends
-    any other way raises ChildProcessError.  Every child is reaped before
-    this returns or raises, and one still running is killed first.
-    """
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+@contextlib.contextmanager
+def _forked(run, n: int) -> Iterator[None]:
+    """n children made by os.fork() that run() while the block runs.  A
+    child writes nothing else and ends with os._exit: status 0 if run()
+    returned, 1 if it raised.  Every child is reaped when the block ends,
+    and killed first if the block raises."""
+    children = []
     try:
-        for _ in range(n - 1):
-            read_end, write_end = os.pipe()
-            try:
-                # Python >= 3.12 warns (DeprecationWarning) on a fork in a
-                # process with more than one thread, which numpy's OpenBLAS
-                # pool makes true.  The child takes no lock those threads
-                # may hold: it makes no BLAS call (the band reductions use
-                # einsum) and ends with os._exit.
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
+        for _ in range(n):
+            # Python >= 3.12 warns (DeprecationWarning) on a fork in a
+            # process with more than one thread.  numpy's OpenBLAS pool does
+            # not make it so: OpenBLAS shuts the pool down in its pre-fork
+            # handler, before Python counts the threads, and only the next
+            # BLAS call, which this package never makes, restarts it.
+            pid = os.fork()
             if pid == 0:
-                os.close(read_end)
-                _report(run, write_end)
-            os.close(write_end)
-            children[pid] = read_end
-        run()
-        for pid, read_end in list(children.items()):
-            data = b"".join(iter(partial(os.read, read_end, 1 << 16), b""))
-            _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
-            if status == 0 and not data:
-                continue
-            try:
-                exc, text = pickle.loads(data)
-            except Exception:
-                raise ChildProcessError(
-                    f"replication worker {pid} ended without a complete report "
-                    f"(wait status {status})"
-                ) from None
-            raise exc from _RemoteTraceback(text)
-    finally:
-        for pid, read_end in children.items():
-            os.close(read_end)
+                with contextlib.suppress(BaseException):  # run_experiment reruns what it left
+                    run()
+                    os._exit(0)
+                os._exit(1)
+            children.append(pid)
+        yield
+    except BaseException:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-class _RemoteTraceback(Exception):
-    """The traceback of an exception raised in a forked worker, as text."""
-
-
-def _report(run, fd: int):
-    """In a forked child: run(), and if it raises, write the exception and
-    its formatted traceback to fd, pickled; then end the process (status 0
-    if run() returned) without running exit handlers or flushing stdio."""
-    status = 1
-    try:
-        run()
-        status = 0
-    except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
-        with open(fd, "wb") as pipe:
-            pickle.dump((exc, traceback.format_exc()), pipe)
+        raise
     finally:
-        os._exit(status)
+        for pid in children:
+            os.waitpid(pid, 0)
